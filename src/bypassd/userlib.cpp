@@ -484,8 +484,8 @@ UserLib::drainPendingWrites(int fd, std::function<void()> done)
 }
 
 void
-UserLib::submitWithRetry(Tid tid, std::size_t slot, ssd::Command cmd,
-                         ssd::CommandDispatcher::CompletionFn fn)
+UserLib::submitWithRetry(Tid tid, std::size_t slot, const ssd::Command &cmd,
+                         ssd::CommandDispatcher::CompletionFn &&fn)
 {
     // QoS gate on the direct path: data commands charge the process's
     // token buckets exactly once (the SQ-full retry loop below does not
@@ -505,15 +505,16 @@ UserLib::submitWithRetry(Tid tid, std::size_t slot, ssd::Command cmd,
 }
 
 void
-UserLib::submitNow(Tid tid, std::size_t slot, ssd::Command cmd,
-                   ssd::CommandDispatcher::CompletionFn fn)
+UserLib::submitNow(Tid tid, std::size_t slot, const ssd::Command &cmd,
+                   ssd::CommandDispatcher::CompletionFn &&fn)
 {
     UserQueues &q = uq(tid, slot);
-    if (q.dispatcher->submit(cmd, fn))
+    if (q.dispatcher->submit(cmd, std::move(fn)))
         return;
-    // SQ full: poll and retry shortly.
-    kernel_.eq().after(500, [this, tid, slot, cmd, fn = std::move(fn)]() {
-        submitNow(tid, slot, cmd, fn);
+    // SQ full: the refused submit left fn intact; poll and retry shortly.
+    kernel_.eq().after(500, [this, tid, slot, cmd,
+                             fn = std::move(fn)]() mutable {
+        submitNow(tid, slot, cmd, std::move(fn));
     });
 }
 
@@ -578,9 +579,9 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
                 c.userToKernelNs + 500 + c.kernelToUserNs);
             kernel_.eq().after(statCost,
                                [this, tid, fd, buf, off, trace,
-                                cb = std::move(cb)]() {
-                                   directRead(tid, fd, buf, off, cb,
-                                              trace);
+                                cb = std::move(cb)]() mutable {
+                                   directRead(tid, fd, buf, off,
+                                              std::move(cb), trace);
                                });
             return;
         }
@@ -606,10 +607,12 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
                  "request exceeds DMA buffer");
 
     directReads_++;
+    // Each stage moves the caller's callback on: the lambdas are
+    // mutable, or std::move(cb) would copy it.
     const Time submitCost = kernel_.cpu().scaled(c.userlibSubmitNs);
     kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, aStart,
                                     len, slot, start, trace,
-                                    cb = std::move(cb)]() {
+                                    cb = std::move(cb)]() mutable {
         FileInfo *fi = info(fd);
         if (!fi) {
             cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
@@ -627,7 +630,7 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
         submitWithRetry(tid, slot, cmd,
                         [this, tid, fd, buf, off, n, aStart, slot,
                          start, tSubmit, trace, cb = std::move(cb)](
-                            const ssd::Completion &comp) {
+                            const ssd::Completion &comp) mutable {
             if (comp.status != ssd::Status::Success) {
                 handleFault(
                     fd,
@@ -647,13 +650,10 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
                                                    + c.copyCost(n));
             std::memcpy(buf.data(),
                         uq(tid, slot).dmaBuf.data() + (off - aStart), n);
-            kernel_.eq().after(post, [this, fd, n, start, tSubmit, comp,
+            // touch() is deferred to close/fsync (Section 4.4); nothing
+            // to do per-op.
+            kernel_.eq().after(post, [this, n, start, tSubmit, comp,
                                       cb = std::move(cb)]() {
-                FileInfo *fi2 = info(fd);
-                if (fi2) {
-                    // touch() is deferred to close/fsync (Section 4.4);
-                    // nothing to do per-op.
-                }
                 kern::IoTrace tr;
                 const Time total = kernel_.eq().now() - start;
                 tr.translateNs = comp.translateNs;
@@ -686,7 +686,8 @@ UserLib::directOverwrite(Tid tid, int fd,
         = kernel_.cpu().scaled(c.userlibSubmitNs + c.copyCost(n));
     std::memcpy(q.dmaBuf.data(), buf.data(), n);
     kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, slot,
-                                    start, trace, cb = std::move(cb)]() {
+                                    start, trace,
+                                    cb = std::move(cb)]() mutable {
         FileInfo *fi = info(fd);
         if (!fi) {
             cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
@@ -704,7 +705,7 @@ UserLib::directOverwrite(Tid tid, int fd,
         submitWithRetry(tid, slot, cmd,
                         [this, tid, fd, buf, off, n, start, tSubmit,
                          trace, cb = std::move(cb)](
-                            const ssd::Completion &comp) {
+                            const ssd::Completion &comp) mutable {
             if (comp.status != ssd::Status::Success) {
                 handleFault(
                     fd,

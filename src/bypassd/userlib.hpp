@@ -205,10 +205,10 @@ class UserLib
     /** Lazily interned "bypassd.p<pid>" track (tracer must be set). */
     std::uint16_t obsTrack();
 
-    void submitWithRetry(Tid tid, std::size_t slot, ssd::Command cmd,
-                         ssd::CommandDispatcher::CompletionFn fn);
-    void submitNow(Tid tid, std::size_t slot, ssd::Command cmd,
-                   ssd::CommandDispatcher::CompletionFn fn);
+    void submitWithRetry(Tid tid, std::size_t slot, const ssd::Command &cmd,
+                         ssd::CommandDispatcher::CompletionFn &&fn);
+    void submitNow(Tid tid, std::size_t slot, const ssd::Command &cmd,
+                   ssd::CommandDispatcher::CompletionFn &&fn);
 
     kern::Kernel &kernel_;
     BypassdModule &module_;

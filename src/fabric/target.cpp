@@ -376,7 +376,7 @@ FabricTarget::execIo(std::uint32_t connId, std::uint64_t cid, ssd::Op op,
 }
 
 bool
-FabricTarget::submitIo(Conn *cp, ParkedIo io)
+FabricTarget::submitIo(Conn *cp, const ParkedIo &io)
 {
     ssd::Command cmd;
     cmd.op = io.op;
@@ -393,18 +393,21 @@ FabricTarget::submitIo(Conn *cp, ParkedIo io)
     const std::uint32_t len = io.len;
     const Time capsuleAt = io.capsuleAt;
     const obs::TraceId trace = io.trace;
-    auto buf = io.buf;
+    // The reap stage carries only the status and device time of the
+    // completion, which keeps its capture inside the inline buffer.
     const bool submitted = cp->disp->submit(
-        cmd, [this, cp, cid, op, len, buf, capsuleAt, trace, tSubmit,
-              alive = alive_](const ssd::Completion &comp) {
+        cmd, [this, cp, cid, op, len, buf = io.buf, capsuleAt, trace,
+              tSubmit, alive = alive_](const ssd::Completion &comp) mutable {
             const Time reap = sys_.kernel.cpu().scaled(costs_.reapNs);
-            sys_.eq.after(reap, [this, cp, cid, op, len, buf,
-                                 capsuleAt, trace, tSubmit, comp,
-                                 alive]() {
+            const ssd::Status st = comp.status;
+            const Time deviceNs = comp.completeTime - tSubmit;
+            sys_.eq.after(reap, [this, cp, cid, op, len,
+                                 buf = std::move(buf), capsuleAt, trace,
+                                 st, deviceNs,
+                                 alive = std::move(alive)]() {
                 if (!*alive)
                     return;
                 const Time now = sys_.eq.now();
-                const Time deviceNs = comp.completeTime - tSubmit;
                 cp->inflight--;
                 cp->devInflight--;
                 pendingIos_--;
@@ -427,7 +430,6 @@ FabricTarget::submitIo(Conn *cp, ParkedIo io)
                          {"bytes", static_cast<std::int64_t>(len)},
                          {"device_ns",
                           static_cast<std::int64_t>(deviceNs)}});
-                const ssd::Status st = comp.status;
                 std::shared_ptr<std::vector<std::uint8_t>> data;
                 if (st == ssd::Status::Success
                     && op == ssd::Op::Read)

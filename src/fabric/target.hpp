@@ -212,7 +212,7 @@ class FabricTarget
                 DevAddr addr, std::uint32_t len,
                 std::shared_ptr<std::vector<std::uint8_t>> payload,
                 Time capsuleAt);
-    bool submitIo(Conn *cp, ParkedIo io);
+    bool submitIo(Conn *cp, const ParkedIo &io);
     void retryParked(Conn *cp);
     void beginTeardown(std::uint32_t connId);
     void teardownPoll(std::uint32_t connId);

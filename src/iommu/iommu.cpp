@@ -1,7 +1,5 @@
 #include "iommu/iommu.hpp"
 
-#include <unordered_set>
-
 #include "obs/trace.hpp"
 #include "sim/logging.hpp"
 
@@ -53,6 +51,20 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
                         bool isWrite, DevId requester)
 {
     TransResult res;
+    translateVbaInto(pasid, vba, len, isWrite, requester, res);
+    return res;
+}
+
+void
+Iommu::translateVbaInto(Pasid pasid, Vaddr vba, std::uint32_t len,
+                        bool isWrite, DevId requester, TransResult &res)
+{
+    res.ok = false;
+    res.fault = Fault::None;
+    res.segs.clear();
+    res.latency = 0;
+    res.framesRead = 0;
+    res.pages = 0;
     vbaTranslations_++;
     if (acct_) {
         acct_->of(pasid).iommuVbaTranslations++;
@@ -61,7 +73,11 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
 
     Time latency = profile_.pcieRoundTripNs + profile_.lookupNs;
     bool anyWalkCacheMiss = false;
-    std::unordered_set<std::uint64_t> leafLines;
+    // Each leaf cacheline holds 8 FTEs (64 B); the timing model charges
+    // per distinct line (Fig. 5). Pages are visited in ascending order,
+    // so the distinct lines are exactly the changes of line number.
+    std::uint64_t leafLines = 0;
+    Vaddr lastLine = 0;
 
     auto finish = [&](Fault f) {
         res.fault = f;
@@ -78,13 +94,12 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
             res.latency = static_cast<Time>(profile_.fixedVbaLatencyNs);
         } else {
             latency += profile_.leafFetchNs;
-            if (leafLines.size() > 1)
-                latency += (leafLines.size() - 1) * profile_.extraLineNs;
+            if (leafLines > 1)
+                latency += (leafLines - 1) * profile_.extraLineNs;
             if (anyWalkCacheMiss)
                 latency += 3 * profile_.upperLevelFetchNs;
             res.latency = latency;
         }
-        return res;
     };
 
     if (len == 0)
@@ -99,9 +114,11 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
     Vaddr cur = vba;
     while (cur < end) {
         const Vaddr pageVa = cur & ~static_cast<Vaddr>(kBlockBytes - 1);
-        // Each leaf cacheline holds 8 FTEs (64 B); track distinct lines
-        // for the timing model (Fig. 5).
-        leafLines.insert(pageVa >> 15);
+        const Vaddr line = pageVa >> 15;
+        if (leafLines == 0 || line != lastLine) {
+            leafLines++;
+            lastLine = line;
+        }
 
         std::uint64_t dummy;
         if (!walkCache_.lookup(wcKey(pasid, pageVa), dummy)) {
@@ -142,7 +159,7 @@ Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
         cur += segLen;
     }
 
-    return finish(Fault::None);
+    finish(Fault::None);
 }
 
 void

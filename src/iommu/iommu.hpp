@@ -117,6 +117,15 @@ class Iommu
                                  bool isWrite, DevId requester);
 
     /**
+     * translateVbaSync() into a caller-owned result. @p out is
+     * overwritten; its segs vector keeps its capacity, so a caller that
+     * reuses one result (the device's command path) translates without
+     * allocating.
+     */
+    void translateVbaInto(Pasid pasid, Vaddr vba, std::uint32_t len,
+                          bool isWrite, DevId requester, TransResult &out);
+
+    /**
      * Invalidate cached translation state for a VBA range (issued by the
      * kernel when FTEs are detached, Section 3.6).
      */

@@ -441,7 +441,8 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
         deviceIo(
             ssd::Op::Read, segs, target,
             [this, buf, off, n, aStart, bounce, start, pid, tenant, trace,
-             &ino, cb = std::move(cb)](ssd::Status dst, Time devNs) {
+             &ino, cb = std::move(cb)](ssd::Status dst,
+                                       Time devNs) mutable {
                 if (bounce) {
                     std::memcpy(buf.data(),
                                 bounce->data() + (off - aStart), n);
@@ -542,7 +543,8 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         }
 
         auto finish = [this, n, start, pid, tenant, trace, &ino,
-                       cb = std::move(cb)](ssd::Status dst, Time devNs) {
+                       cb = std::move(cb)](ssd::Status dst,
+                                           Time devNs) mutable {
             TenantScope ts(*this, tenant);
             vfs_.fs().touch(ino, true);
             const Time exitCost = cpu_.scaled(costs_.kernelToUserNs);
@@ -587,7 +589,7 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
                 deviceIo(ssd::Op::Write, segs,
                          std::span<std::uint8_t>(*bounce),
                          [bounce, rdevNs, finish = std::move(finish)](
-                             ssd::Status wst, Time wdevNs) {
+                             ssd::Status wst, Time wdevNs) mutable {
                              finish(wst, rdevNs + wdevNs);
                          },
                          trace, tenant);

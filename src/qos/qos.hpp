@@ -30,13 +30,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 
 #include "common/types.hpp"
 #include "obs/tenant.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/ring.hpp"
 
 namespace bpd::qos {
 
@@ -130,10 +129,12 @@ class Registry
      * with the tokens already charged — when the bucket can afford it;
      * parked I/O is delayed, never dropped. One drain event per tenant
      * is armed at the deterministic ready time of the queue head.
+     * @p resume is move-only, so a submission can park its completion
+     * callback without copying it.
      */
     void
     park(TenantId t, std::uint64_t ops, std::uint64_t bytes,
-         std::function<void()> resume)
+         sim::EventQueue::Callback resume)
     {
         State &s = states_[t];
         s.parked.push_back(Parked{ops, bytes, std::move(resume)});
@@ -189,7 +190,7 @@ class Registry
     {
         std::uint64_t ops = 0;
         std::uint64_t bytes = 0;
-        std::function<void()> fn;
+        sim::EventQueue::Callback fn;
     };
 
     struct State
@@ -198,7 +199,7 @@ class Registry
         Bucket ops;
         Bucket bytes;
         Time lastRefill = 0;
-        std::deque<Parked> parked;
+        sim::Ring<Parked> parked;
         bool drainArmed = false;
         std::uint64_t throttles = 0;
         std::uint64_t throttledBytes = 0;
@@ -316,7 +317,6 @@ class Registry
             charge(s.bytes, p.bytes);
             s.admits++;
             admits_++;
-            drains_++;
             // May re-enter park()/tryAcquire for this tenant; the
             // backlog check in tryAcquire keeps FIFO order and the
             // drainArmed flag keeps at most one event outstanding.
@@ -331,7 +331,6 @@ class Registry
     std::uint64_t throttles_ = 0;
     std::uint64_t throttledBytes_ = 0;
     std::uint64_t admits_ = 0;
-    std::uint64_t drains_ = 0;
 };
 
 } // namespace bpd::qos

@@ -42,8 +42,13 @@ constexpr EventId kNoEvent = 0;
 /** Sentinel time: "no pending event" / "unbounded window". */
 constexpr Time kNever = ~static_cast<Time>(0);
 
-/** Inline storage for event callbacks; larger captures go to the heap. */
-constexpr std::size_t kEventCallbackInlineBytes = 48;
+/**
+ * Inline storage for event callbacks; larger captures go to the heap.
+ * Sized for the per-command stage captures of the I/O engines (a
+ * request's arguments plus the caller's std::function, ~120 B), so the
+ * simulated command path schedules without allocating.
+ */
+constexpr std::size_t kEventCallbackInlineBytes = 128;
 
 /**
  * A deterministic min-heap event queue driving virtual nanosecond time.

@@ -32,11 +32,24 @@ void inform(const std::string &msg);
 /** Enable or disable inform()/warn() output (tests silence it). */
 void setVerbose(bool verbose);
 
-/** panic() unless the condition holds. */
+/** panic() with @p msg when @p cond holds. */
 inline void
 panicIf(bool cond, const std::string &msg)
 {
     if (cond)
+        panic(msg);
+}
+
+/**
+ * Literal-message overload for hot paths: the std::string is built only
+ * when the check fails, so a passing check costs one branch and never
+ * allocates (a literal longer than the SSO buffer would otherwise hit
+ * the heap on every call).
+ */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond) [[unlikely]]
         panic(msg);
 }
 

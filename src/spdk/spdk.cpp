@@ -157,9 +157,11 @@ SpdkDriver::doIoNow(Tid tid, ssd::Op op, DevAddr addr,
         };
     }
 
+    // The stage lambdas are mutable so each std::move(cb) moves the
+    // caller's callback on instead of copying it.
     const Time submitCost = cpu_.scaled(costs_.submitNs);
     eq_.after(submitCost, [this, tid, op, addr, buf, start, trace,
-                           cb = std::move(cb)]() {
+                           cb = std::move(cb)]() mutable {
         ThreadCtx &tc = ctx(tid);
         ssd::Command cmd;
         cmd.op = op;
@@ -170,8 +172,8 @@ SpdkDriver::doIoNow(Tid tid, ssd::Op op, DevAddr addr,
         cmd.trace = trace;
         const Time tSubmit = eq_.now();
         const bool ok = tc.disp->submit(
-            cmd, [this, buf, start, tSubmit,
-                  cb = std::move(cb)](const ssd::Completion &comp) {
+            cmd, [this, buf, start, tSubmit, cb = std::move(cb)](
+                     const ssd::Completion &comp) mutable {
                 const Time reap = cpu_.scaled(costs_.reapNs);
                 eq_.after(reap, [this, buf, start, tSubmit, comp,
                                  cb = std::move(cb)]() {

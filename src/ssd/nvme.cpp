@@ -254,12 +254,25 @@ NvmeDevice::finish(QueuePair &qp, Completion comp)
     tryDispatch();
 }
 
+std::uint32_t
+NvmeDevice::allocJob()
+{
+    if (freeJobs_.empty()) {
+        jobs_.emplace_back();
+        return static_cast<std::uint32_t>(jobs_.size() - 1);
+    }
+    const std::uint32_t idx = freeJobs_.back();
+    freeJobs_.pop_back();
+    return idx;
+}
+
 void
 NvmeDevice::startMedia()
 {
     while (busyUnits_ < profile_.units && !mediaQueue_.empty()) {
-        MediaJob job = std::move(mediaQueue_.front());
+        const std::uint32_t idx = mediaQueue_.front();
         mediaQueue_.pop_front();
+        MediaJob &job = jobs_[idx];
         busyUnits_++;
         mediaOps_++;
 
@@ -290,41 +303,56 @@ NvmeDevice::startMedia()
                 = std::max(job.qp->lastWriteDone_, done);
         }
 
-        eq_.schedule(done, [this, job = std::move(job)]() mutable {
-            // Functional data movement at completion time. A media
-            // error means the bytes never made it to/from the media.
-            std::size_t off = 0;
-            for (const auto &seg : job.segs) {
-                if (job.mediaError)
-                    break;
-                if (job.op == Op::Read) {
-                    store_.read(seg.addr, job.host.subspan(off, seg.len));
-                } else {
-                    store_.write(seg.addr,
-                                 std::span<const std::uint8_t>(
-                                     job.staged->data() + off, seg.len));
-                }
-                off += seg.len;
-            }
-            job.comp.completeTime = eq_.now();
-            if (trace_ && trace_->wants(obs::Level::Device)) {
-                trace_->span(
-                    qtrack(*job.qp), "nvme.media", job.comp.trace,
-                    job.mediaStart, eq_.now(),
-                    {{"bytes", static_cast<std::int64_t>(job.len)},
-                     {"write",
-                      static_cast<std::int64_t>(job.op == Op::Write)}});
-            }
-            busyUnits_--;
-            startMedia();
-            if (job.mediaError) {
-                mediaErrors_++;
-                if (healthHook_)
-                    healthHook_(mediaErrors_);
-            }
-            finish(*job.qp, job.comp);
-        });
+        eq_.schedule(done, [this, idx]() { mediaDone(idx); });
     }
+}
+
+void
+NvmeDevice::mediaDone(std::uint32_t idx)
+{
+    MediaJob &job = jobs_[idx];
+    // Functional data movement at completion time. A media error means
+    // the bytes never made it to/from the media.
+    std::size_t off = 0;
+    for (const auto &seg : job.segs) {
+        if (job.mediaError)
+            break;
+        if (job.op == Op::Read) {
+            store_.read(seg.addr, job.host.subspan(off, seg.len));
+        } else {
+            store_.write(seg.addr, std::span<const std::uint8_t>(
+                                       job.staged.data() + off, seg.len));
+        }
+        off += seg.len;
+    }
+    job.comp.completeTime = eq_.now();
+    if (trace_ && trace_->wants(obs::Level::Device)) {
+        trace_->span(
+            qtrack(*job.qp), "nvme.media", job.comp.trace, job.mediaStart,
+            eq_.now(),
+            {{"bytes", static_cast<std::int64_t>(job.len)},
+             {"write", static_cast<std::int64_t>(job.op == Op::Write)}});
+    }
+    // Everything below may dispatch new commands into the slab, so take
+    // what finish() needs and free the entry first.
+    QueuePair &qp = *job.qp;
+    const Completion comp = job.comp;
+    const bool mediaError = job.mediaError;
+    // Keep a staging buffer for reuse only up to one block: a larger
+    // one would pin the biggest write ever staged in every slab entry,
+    // and the slab grows with the number of commands in flight.
+    if (job.staged.capacity() > kBlockBytes)
+        std::vector<std::uint8_t>().swap(job.staged);
+    freeJobs_.push_back(idx);
+
+    busyUnits_--;
+    startMedia();
+    if (mediaError) {
+        mediaErrors_++;
+        if (healthHook_)
+            healthHook_(mediaErrors_);
+    }
+    finish(qp, comp);
 }
 
 void
@@ -413,8 +441,9 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     }
 
     // Resolve the device-side extents (functionally now; the latency is
-    // charged on the command's own timeline below).
-    std::vector<iommu::TransSeg> segs;
+    // charged on the command's own timeline below) into the reused
+    // translation scratch.
+    std::vector<iommu::TransSeg> &segs = xlate_.segs;
     Time translateNs = 0;
     if (cmd.addrIsVba) {
         const bool devTrace = trace_ && trace_->wants(obs::Level::Device);
@@ -424,8 +453,9 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
             tlbMiss0 = iommu_.iotlb().misses();
             tlbHit0 = iommu_.iotlb().hits();
         }
-        iommu::TransResult tr = iommu_.translateVbaSync(
-            qp.pasid(), cmd.addr, cmd.len, cmd.op == Op::Write, devId_);
+        iommu_.translateVbaInto(qp.pasid(), cmd.addr, cmd.len,
+                                cmd.op == Op::Write, devId_, xlate_);
+        const iommu::TransResult &tr = xlate_;
         translateNs = tr.latency;
         if (devTrace) {
             // ATS request goes out once the command is fetched; for
@@ -449,12 +479,12 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
             fail(statusFromFault(tr.fault), tr.latency);
             return;
         }
-        segs = std::move(tr.segs);
     } else {
         if (cmd.addr + cmd.len > store_.capacity()) {
             fail(Status::OutOfRange, 0);
             return;
         }
+        segs.clear();
         segs.push_back(iommu::TransSeg{cmd.addr, cmd.len});
     }
 
@@ -482,14 +512,6 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
         return;
     }
 
-    // Writes: data-in DMA overlaps translation (no VBA penalty); snapshot
-    // the host buffer now ("copied into device memory first").
-    std::shared_ptr<std::vector<std::uint8_t>> staged;
-    if (cmd.op == Op::Write) {
-        staged = std::make_shared<std::vector<std::uint8_t>>(
-            span->begin(), span->end());
-    }
-
     if (cmd.op == Op::Read)
         readBytes_ += cmd.len;
     else
@@ -507,39 +529,44 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     }
     qp.completedBytes_ += cmd.len;
 
-    MediaJob job;
+    const std::uint32_t idx = allocJob();
+    MediaJob &job = jobs_[idx];
     job.qp = &qp;
     job.op = cmd.op;
     job.len = cmd.len;
-    job.segs = std::move(segs);
+    job.segs.swap(segs);
     job.host = *span;
-    job.staged = std::move(staged);
+    // Writes: data-in DMA overlaps translation (no VBA penalty); snapshot
+    // the host buffer now ("copied into device memory first").
+    if (cmd.op == Op::Write)
+        job.staged.assign(span->begin(), span->end());
+    job.comp = Completion{};
     job.comp.cid = cmd.cid;
     job.comp.status = Status::Success;
     job.comp.submitTime = submitTime;
     job.comp.translateNs = translateNs;
     job.comp.trace = cmd.trace;
     job.minDone = 0;
+    job.mediaStart = 0;
+    job.mediaError = false;
 
     // Reads serialize the ATS translation before media access (and do
     // not occupy a media unit meanwhile); writes start media immediately
     // but cannot complete before the ATS response arrives (Section 4.3).
     if (cmd.op == Op::Read && translateNs > 0) {
         translating_++;
-        eq_.after(profile_.cmdFetchNs + translateNs,
-                  [this, job = std::move(job)]() mutable {
-                      translating_--;
-                      mediaQueue_.push_back(std::move(job));
-                      startMedia();
-                      tryDispatch();
-                  });
+        eq_.after(profile_.cmdFetchNs + translateNs, [this, idx]() {
+            translating_--;
+            mediaQueue_.push_back(idx);
+            startMedia();
+            tryDispatch();
+        });
     } else {
         job.minDone = submitTime + profile_.cmdFetchNs + translateNs;
-        eq_.after(profile_.cmdFetchNs,
-                  [this, job = std::move(job)]() mutable {
-                      mediaQueue_.push_back(std::move(job));
-                      startMedia();
-                  });
+        eq_.after(profile_.cmdFetchNs, [this, idx]() {
+            mediaQueue_.push_back(idx);
+            startMedia();
+        });
     }
 }
 

@@ -20,7 +20,6 @@
 #define BPD_SSD_NVME_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -33,6 +32,7 @@
 #include "obs/tenant.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "ssd/block_store.hpp"
 
 namespace bpd::obs {
@@ -212,8 +212,8 @@ class QueuePair
     bool vbaMode_;
     bool disabled_ = false;
 
-    std::deque<Command> sq_;
-    std::deque<Completion> cq_;
+    sim::Ring<Command> sq_; //!< doubles up to the queue depth
+    sim::Ring<Completion> cq_;
     std::function<void(const Completion &)> hook_;
     std::uint32_t inflight_ = 0; //!< dispatched, not yet completed
 
@@ -337,17 +337,25 @@ class NvmeDevice
   private:
     friend class QueuePair;
 
-    /** A command that finished translation and awaits a media unit. */
+    /**
+     * A data command past validation, from translation to media
+     * completion. Jobs live in a slab (jobs_) and the events of the
+     * command's timeline carry the slab index, so a command costs no
+     * heap allocation once the slab and its buffers have grown to the
+     * working set: segs and the write staging buffer keep their
+     * capacity across reuse.
+     */
     struct MediaJob
     {
-        QueuePair *qp;
-        Op op;
-        std::uint32_t len;
+        QueuePair *qp = nullptr;
+        Op op = Op::Read;
+        std::uint32_t len = 0;
         std::vector<iommu::TransSeg> segs;
         std::span<std::uint8_t> host;
-        std::shared_ptr<std::vector<std::uint8_t>> staged;
+        /** Write payload snapshot ("copied into device memory first"). */
+        std::vector<std::uint8_t> staged;
         Completion comp;
-        Time minDone; //!< completion cannot precede this (write ATS)
+        Time minDone = 0;    //!< completion cannot precede this (write ATS)
         Time mediaStart = 0; //!< service start (observability only)
         bool mediaError = false; //!< injected failure (health model)
     };
@@ -358,6 +366,8 @@ class NvmeDevice
     void process(QueuePair &qp, Command cmd);
     void finish(QueuePair &qp, Completion comp);
     void startMedia();
+    void mediaDone(std::uint32_t job);
+    std::uint32_t allocJob();
     Time mediaTime(Op op, std::uint32_t len);
     std::optional<std::span<std::uint8_t>>
     hostSpan(QueuePair &qp, const Command &cmd, bool deviceWrites);
@@ -377,7 +387,11 @@ class NvmeDevice
 
     unsigned busyUnits_ = 0;    //!< units doing media work
     unsigned translating_ = 0;  //!< commands in the ATS phase
-    std::deque<MediaJob> mediaQueue_;
+    std::vector<MediaJob> jobs_;          //!< MediaJob slab
+    std::vector<std::uint32_t> freeJobs_; //!< free slab indices
+    sim::Ring<std::uint32_t> mediaQueue_; //!< jobs awaiting a unit
+    /** Translation scratch; its segs swap into the job's slab entry. */
+    iommu::TransResult xlate_;
     Time linkFreeAt_ = 0;
     bool dispatchScheduled_ = false;
 

@@ -117,20 +117,31 @@ struct Net
         exec.run();
     }
 
+    /**
+     * Connect every client. Each ack runs on its client's shard thread,
+     * so every client counts into its own slot and the slots are
+     * folded after the run: a shared counter would race.
+     */
     bool
     connectAll()
     {
-        unsigned acked = 0;
-        bool allOk = true;
+        std::vector<unsigned> acked(inis.size(), 0);
+        std::vector<char> ok(inis.size(), 1);
         for (unsigned i = 0; i < inis.size(); i++)
             inis[i]->connect(static_cast<Pasid>(100 + i),
-                             [&](fab::ConnectStatus st) {
-                                 acked++;
-                                 allOk = allOk
+                             [&acked, &ok, i](fab::ConnectStatus st) {
+                                 acked[i]++;
+                                 ok[i] = ok[i]
                                          && st == fab::ConnectStatus::Ok;
                              });
         exec.run();
-        return acked == inis.size() && allOk;
+        unsigned total = 0;
+        bool allOk = true;
+        for (unsigned i = 0; i < inis.size(); i++) {
+            total += acked[i];
+            allOk = allOk && ok[i];
+        }
+        return total == inis.size() && allOk;
     }
 };
 
@@ -381,15 +392,17 @@ TEST(Fabric, RemoteTenantSumsFoldBitExactly)
     net.target.enableTenantAccounting();
     ASSERT_TRUE(net.connectAll());
     std::vector<std::uint8_t> buf(4096);
-    unsigned done = 0;
+    // One counter per client: their callbacks may run on different
+    // shard threads.
+    unsigned done[2] = {0, 0};
     for (int i = 0; i < 5; i++)
         net.ini(0).read(0, static_cast<DevAddr>(i) * 4096, buf,
-                        [&](long long, kern::IoTrace) { done++; });
+                        [&done](long long, kern::IoTrace) { done[0]++; });
     for (int i = 0; i < 3; i++)
         net.ini(1).write(0, 65536 + static_cast<DevAddr>(i) * 4096, buf,
-                         [&](long long, kern::IoTrace) { done++; });
+                         [&done](long long, kern::IoTrace) { done[1]++; });
     net.exec.run();
-    EXPECT_EQ(done, 8u);
+    EXPECT_EQ(done[0] + done[1], 8u);
 
     // The attribution invariant holds on the target with remote-only
     // traffic: per-tenant sums equal system totals bit-exactly.
@@ -412,14 +425,18 @@ TEST(Fabric, RemoteTenantSumsFoldBitExactly)
 TEST(Fabric, ConnectionStormSerializesOnAdminQueue)
 {
     Net net(4);
-    std::vector<Time> ackAt;
+    // Per-client ack lists, folded after the run (shard threads).
+    std::vector<std::vector<Time>> acks(4);
     for (unsigned i = 0; i < 4; i++)
         net.ini(i).connect(static_cast<Pasid>(10 + i),
-                           [&net, i, &ackAt](fab::ConnectStatus st) {
+                           [&net, i, &acks](fab::ConnectStatus st) {
                                EXPECT_EQ(st, fab::ConnectStatus::Ok);
-                               ackAt.push_back(net.client(i).now());
+                               acks[i].push_back(net.client(i).now());
                            });
     net.exec.run();
+    std::vector<Time> ackAt;
+    for (const auto &a : acks)
+        ackAt.insert(ackAt.end(), a.begin(), a.end());
     ASSERT_EQ(ackAt.size(), 4u);
     std::sort(ackAt.begin(), ackAt.end());
     // Simultaneous connects queue behind one admin queue: grant times
@@ -799,14 +816,18 @@ TEST(FabricIncast, ConnReactorMappingIsDeterministic)
 TEST(FabricIncast, AdminStaysSerialWithManyReactors)
 {
     Net net(4, depthProfile(8, true, /*reactors=*/4));
-    std::vector<Time> ackAt;
+    // Per-client ack lists, folded after the run (shard threads).
+    std::vector<std::vector<Time>> acks(4);
     for (unsigned i = 0; i < 4; i++)
         net.ini(i).connect(static_cast<Pasid>(20 + i),
-                           [&net, i, &ackAt](fab::ConnectStatus st) {
+                           [&net, i, &acks](fab::ConnectStatus st) {
                                EXPECT_EQ(st, fab::ConnectStatus::Ok);
-                               ackAt.push_back(net.client(i).now());
+                               acks[i].push_back(net.client(i).now());
                            });
     net.exec.run();
+    std::vector<Time> ackAt;
+    for (const auto &a : acks)
+        ackAt.insert(ackAt.end(), a.begin(), a.end());
     ASSERT_EQ(ackAt.size(), 4u);
     std::sort(ackAt.begin(), ackAt.end());
     // Reactor count must not parallelize the admin queue: grants stay
@@ -827,18 +848,23 @@ runIncastBurst(unsigned shards, std::uint32_t reactors)
     EXPECT_TRUE(net.connectAll());
     std::vector<std::vector<std::uint8_t>> bufs(
         4, std::vector<std::uint8_t>(4096));
-    unsigned done = 0;
+    // Clients complete on up to three shard threads: each counts for
+    // itself and the counts are folded after the run.
+    std::vector<unsigned> done(4, 0);
     for (unsigned c = 0; c < 4; c++)
         for (unsigned i = 0; i < 32; i++)
             net.ini(c).read(0,
                             (static_cast<DevAddr>(c) * 64 + i) * 4096,
                             bufs[c],
-                            [&done](long long n, kern::IoTrace) {
+                            [&done, c](long long n, kern::IoTrace) {
                                 EXPECT_EQ(n, 4096);
-                                done++;
+                                done[c]++;
                             });
     net.exec.run();
-    EXPECT_EQ(done, 4u * 32u);
+    unsigned total = 0;
+    for (unsigned d : done)
+        total += d;
+    EXPECT_EQ(total, 4u * 32u);
 
     std::uint64_t h = 0xcbf29ce484222325ull;
     Time maxLat = 0;

@@ -180,6 +180,39 @@ TEST_F(IommuFixture, LatencyGrowsSlowlyWithTranslations)
     EXPECT_LT(lat12 - lat8, 50u); // slight increase only
 }
 
+TEST_F(IommuFixture, MidLineSpanChargesEachExtraLeafLine)
+{
+    // 64 blocks = 8 leaf cachelines of 8 FTEs, all under one walk-cache
+    // entry. The range starts mid-line (block 5, plus a sub-block
+    // offset) and ends inside block 25: blocks 5..25 touch lines 0-3.
+    mapBlocks(0x40000000, 500, 64);
+    iommu.translateVbaSync(kP, 0x40000000, 4096, false, kDev); // warm
+    const Vaddr start = 0x40000000 + 5 * kBlockBytes + 512;
+    const Vaddr end = 0x40000000 + 25 * kBlockBytes + 1024;
+    // Translate into a reused result: stale contents are overwritten.
+    TransResult r;
+    r.segs.assign(3, TransSeg{1, 1});
+    r.pages = 99;
+    r.framesRead = 99;
+    iommu.translateVbaInto(kP, start, static_cast<std::uint32_t>(end - start),
+                           false, kDev, r);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.pages, 21u);
+    ASSERT_EQ(r.segs.size(), 1u);
+    EXPECT_EQ(r.segs[0].addr, 505u * kBlockBytes + 512);
+    EXPECT_EQ(r.segs[0].len, end - start);
+    const IommuProfile &p = iommu.profile();
+    const unsigned lines = 4;
+    EXPECT_EQ(r.latency, p.pcieRoundTripNs + p.lookupNs + p.leafFetchNs
+                             + (lines - 1) * p.extraLineNs);
+    // Same answer through the by-value API.
+    EXPECT_EQ(iommu.translateVbaSync(kP, start,
+                                     static_cast<std::uint32_t>(end - start),
+                                     false, kDev)
+                  .latency,
+              r.latency);
+}
+
 TEST_F(IommuFixture, FixedLatencyOverride)
 {
     mapBlocks(0x40000000, 500, 1);

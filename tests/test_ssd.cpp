@@ -6,6 +6,9 @@
  * exclusive claim.
  */
 
+#include <algorithm>
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "iommu/iommu.hpp"
@@ -410,6 +413,106 @@ TEST_F(DevFixture, QueueDepthBackpressure)
         ;
     EXPECT_TRUE(qp->submit(cmd));
     eq.run();
+}
+
+TEST_F(DevFixture, DispatcherRoutesOutOfOrderCompletionsAcrossGrow)
+{
+    // A flush (~6 us) finishes after the 4 KiB reads (~4 us) submitted
+    // behind it, so completions arrive out of cid order; 48 outstanding
+    // commands grow the cid table from 16 slots to 128, and callbacks
+    // that resubmit insert while earlier entries are being erased.
+    QueuePair *qp = dev->createQueuePair(kNoPasid, 256, false);
+    CommandDispatcher disp(*qp);
+    std::vector<std::uint8_t> buf(4096);
+    std::vector<int> fired;          // per submission: callback runs
+    std::vector<std::uint64_t> seen; // cids in completion order
+    std::size_t peak = 0;
+    std::function<void()> submitOne = [&]() {
+        const std::size_t k = fired.size();
+        fired.push_back(0);
+        Command cmd;
+        cmd.op = k % 3 == 0 ? Op::Flush : Op::Read;
+        cmd.addr = static_cast<DevAddr>(k) * 4096;
+        cmd.len = 4096;
+        cmd.hostBuf = buf;
+        ASSERT_TRUE(disp.submit(cmd, [&, k](const Completion &c) {
+            fired[k]++;
+            // Cids are handed out sequentially from 1 to accepted
+            // submissions, so submission k must see cid k + 1.
+            EXPECT_EQ(c.cid, k + 1);
+            EXPECT_EQ(c.status, Status::Success);
+            seen.push_back(c.cid);
+            if (fired.size() < 96)
+                submitOne();
+        }));
+        peak = std::max(peak, disp.outstanding());
+    };
+    for (int i = 0; i < 48; i++)
+        submitOne();
+    eq.run();
+
+    EXPECT_GE(peak, 48u);
+    EXPECT_EQ(disp.outstanding(), 0u);
+    ASSERT_EQ(fired.size(), 96u);
+    for (std::size_t k = 0; k < fired.size(); k++)
+        EXPECT_EQ(fired[k], 1) << "submission " << k;
+    ASSERT_EQ(seen.size(), 96u);
+    EXPECT_FALSE(std::is_sorted(seen.begin(), seen.end()));
+}
+
+TEST_F(DevFixture, DispatcherRefusedSubmitKeepsCallback)
+{
+    QueuePair *qp = dev->createQueuePair(kNoPasid, 2, false);
+    CommandDispatcher disp(*qp);
+    std::vector<std::uint8_t> buf(4096);
+    Command cmd;
+    cmd.op = Op::Read;
+    cmd.len = 4096;
+    cmd.hostBuf = buf;
+    ASSERT_TRUE(disp.submit(cmd, [](const Completion &) {}));
+    ASSERT_TRUE(disp.submit(cmd, [](const Completion &) {}));
+
+    int fires = 0;
+    std::uint64_t cid = 0;
+    CommandDispatcher::CompletionFn fn = [&](const Completion &c) {
+        fires++;
+        cid = c.cid;
+    };
+    // SQ full: the refused submit must leave the callback with the
+    // caller, untouched, and must not burn a cid.
+    EXPECT_FALSE(disp.submit(cmd, std::move(fn)));
+    EXPECT_TRUE(static_cast<bool>(fn));
+    EXPECT_EQ(disp.outstanding(), 2u);
+    eq.run();
+    EXPECT_EQ(fires, 0);
+
+    EXPECT_TRUE(disp.submit(cmd, std::move(fn)));
+    EXPECT_FALSE(static_cast<bool>(fn));
+    eq.run();
+    EXPECT_EQ(fires, 1);
+    EXPECT_EQ(cid, 3u);
+    EXPECT_EQ(disp.outstanding(), 0u);
+}
+
+TEST_F(DevFixture, DispatcherPanicsOnUnknownCid)
+{
+    QueuePair *qp = dev->createQueuePair(kNoPasid, 32, false);
+    std::vector<std::uint8_t> buf(4096);
+    Command cmd;
+    cmd.op = Op::Read;
+    cmd.len = 4096;
+    cmd.hostBuf = buf;
+    EXPECT_DEATH(
+        {
+            CommandDispatcher issuer(*qp);
+            issuer.submit(cmd, [](const Completion &) {});
+            // A second dispatcher takes over the queue's completion
+            // hook, so the completion for the first one's cid reaches
+            // a table that never issued it.
+            CommandDispatcher other(*qp);
+            eq.run();
+        },
+        "completion for unknown command id");
 }
 
 TEST_F(DevFixture, LargeReadBandwidthBound)

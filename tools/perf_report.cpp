@@ -497,12 +497,13 @@ printCounterDiff(const BenchFile &base, const BenchFile &cur)
             std::printf("    %-20s %14s -> %-14s%s\n", k.c_str(),
                         bs.c_str(), cs.c_str(), note);
         }
-        if (hasField(c, "iotlb_hits") && hasField(c, "iotlb_misses")) {
-            const double h = numField(c, "iotlb_hits");
-            const double m = numField(c, "iotlb_misses");
+        if (hasField(c, "walk_cache_hits")
+            && hasField(c, "walk_cache_misses")) {
+            const double h = numField(c, "walk_cache_hits");
+            const double m = numField(c, "walk_cache_misses");
             if (h + m > 0)
                 std::printf("    %-20s %14s    %.2f%%\n",
-                            "iotlb_hit_rate", "", 100.0 * h / (h + m));
+                            "walk_cache_hit_rate", "", 100.0 * h / (h + m));
         }
     }
 }
