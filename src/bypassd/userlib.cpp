@@ -176,36 +176,6 @@ UserLib::write(Tid tid, int fd, std::span<const std::uint8_t> buf,
            });
 }
 
-std::uint16_t
-UserLib::obsTrack()
-{
-    if (!obsTrackInit_) {
-        obsTrack_ = kernel_.tracer()->track(
-            "bypassd.p" + std::to_string(proc_.pid()));
-        obsTrackInit_ = true;
-    }
-    return obsTrack_;
-}
-
-kern::IoCb
-UserLib::wrapRequest(const char *name, obs::TraceId trace, kern::IoCb cb)
-{
-    obs::Tracer *t = kernel_.tracer();
-    const Time start = kernel_.eq().now();
-    const std::uint16_t track = obsTrack();
-    return [this, t, name, track, trace, start,
-            cb = std::move(cb)](long long n, kern::IoTrace tr) {
-        obs::RequestBreakdown b;
-        b.userNs = tr.userNs;
-        b.kernelNs = tr.kernelNs;
-        b.translateNs = tr.translateNs;
-        b.deviceNs = tr.deviceNs;
-        b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
-        t->request(track, name, trace, start, kernel_.eq().now(), b);
-        cb(n, tr);
-    };
-}
-
 void
 UserLib::pread(Tid tid, int fd, std::span<std::uint8_t> buf,
                std::uint64_t off, kern::IoCb cb)
@@ -219,11 +189,9 @@ UserLib::pread(Tid tid, int fd, std::span<std::uint8_t> buf,
                            });
         return;
     }
-    obs::TraceId trace = 0;
-    if (obs::Tracer *t = kernel_.tracer()) {
-        trace = t->newTrace(proc_.pasid());
-        cb = wrapRequest("bypassd.pread", trace, std::move(cb));
-    }
+    const obs::TraceId trace
+        = kern::openRequest(kernel_.tracer(), proc_.pasid(), "bypassd.pread",
+                            "bypassd.p", proc_.pid(), cb);
     preadResume(tid, fd, buf, off, std::move(cb), trace);
 }
 
@@ -266,11 +234,9 @@ UserLib::pwrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                            });
         return;
     }
-    obs::TraceId trace = 0;
-    if (obs::Tracer *t = kernel_.tracer()) {
-        trace = t->newTrace(proc_.pasid());
-        cb = wrapRequest("bypassd.pwrite", trace, std::move(cb));
-    }
+    const obs::TraceId trace
+        = kern::openRequest(kernel_.tracer(), proc_.pasid(),
+                            "bypassd.pwrite", "bypassd.p", proc_.pid(), cb);
     pwriteResume(tid, fd, buf, off, std::move(cb), trace);
 }
 
@@ -488,20 +454,14 @@ UserLib::submitWithRetry(Tid tid, std::size_t slot, const ssd::Command &cmd,
                          ssd::CommandDispatcher::CompletionFn &&fn)
 {
     // QoS gate on the direct path: data commands charge the process's
-    // token buckets exactly once (the SQ-full retry loop below does not
-    // re-charge). Flushes are exempt — caps cover data IOPS/bytes only.
-    qos::Registry *qos = kernel_.qos();
-    if (qos && (cmd.op == ssd::Op::Read || cmd.op == ssd::Op::Write)) {
-        const TenantId tenant = proc_.pasid();
-        if (!qos->tryAcquire(tenant, 1, cmd.len)) {
-            qos->park(tenant, 1, cmd.len,
-                      [this, tid, slot, cmd, fn = std::move(fn)]() mutable {
-                          submitNow(tid, slot, cmd, std::move(fn));
-                      });
-            return;
-        }
-    }
-    submitNow(tid, slot, cmd, std::move(fn));
+    // token buckets exactly once (the SQ-full retry loop in submitNow
+    // does not re-charge). Flushes are exempt — caps cover data
+    // IOPS/bytes only.
+    const bool data = cmd.op == ssd::Op::Read || cmd.op == ssd::Op::Write;
+    qos::admit(data ? kernel_.qos() : nullptr, proc_.pasid(), 1, cmd.len,
+               [this, tid, slot, cmd, fn = std::move(fn)]() mutable {
+                   submitNow(tid, slot, cmd, std::move(fn));
+               });
 }
 
 void
@@ -525,7 +485,8 @@ UserLib::handleFault(int fd, std::function<void()> retryDirect,
 {
     iommuFaults_++;
     if (obs::Tracer *t = kernel_.tracer())
-        t->instant(obsTrack(), "bypassd.iommu_fault", trace);
+        t->instant(t->track("bypassd.p", proc_.pid()),
+                   "bypassd.iommu_fault", trace);
     FileInfo *fi = info(fd);
     if (!fi) {
         fallbackKernel();

@@ -199,12 +199,6 @@ class UserLib
                      std::function<void()> fallbackKernel,
                      obs::TraceId trace = 0);
 
-    /** Emit a "bypassd.*" request envelope at completion (tracing on). */
-    kern::IoCb wrapRequest(const char *name, obs::TraceId trace,
-                           kern::IoCb cb);
-    /** Lazily interned "bypassd.p<pid>" track (tracer must be set). */
-    std::uint16_t obsTrack();
-
     void submitWithRetry(Tid tid, std::size_t slot, const ssd::Command &cmd,
                          ssd::CommandDispatcher::CompletionFn &&fn);
     void submitNow(Tid tid, std::size_t slot, const ssd::Command &cmd,
@@ -226,9 +220,6 @@ class UserLib
     std::uint64_t iommuFaults_ = 0;
     std::uint64_t nbWrites_ = 0;
     std::uint64_t pendingReadHits_ = 0;
-
-    std::uint16_t obsTrack_ = 0;
-    bool obsTrackInit_ = false;
 };
 
 } // namespace bpd::bypassd

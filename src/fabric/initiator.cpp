@@ -1,7 +1,6 @@
 #include "fabric/initiator.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "fabric/target.hpp"
 #include "qos/qos.hpp"
@@ -191,25 +190,17 @@ FabricInitiator::gateAndAdmit(std::uint64_t cid)
     // submission site), keyed by the connection tenant the target
     // granted. The target-side registry only supplies dispatch weights;
     // touching it from the client domain would race under sharding.
-    qos::Registry *qos = host_.qos();
-    if (qos) {
-        auto it = pending_.find(cid);
-        if (it == pending_.end())
-            return;
-        const std::uint64_t bytes = it->second.buf.size();
-        if (!qos->tryAcquire(tenant_, 1, bytes)) {
-            qos->park(tenant_, 1, bytes,
-                      [this, cid, gen = gen_, alive = alive_] {
-                          if (!*alive || gen != gen_)
-                              return; // reset already failed this cid
-                          if (!pending_.count(cid))
-                              return;
-                          admit(cid);
-                      });
-            return;
-        }
-    }
-    admit(cid);
+    auto it = pending_.find(cid);
+    if (it == pending_.end())
+        return;
+    qos::admit(host_.qos(), tenant_, 1, it->second.buf.size(),
+               [this, cid, gen = gen_, alive = alive_] {
+                   if (!*alive || gen != gen_)
+                       return; // reset already failed this cid
+                   if (!pending_.count(cid))
+                       return;
+                   admit(cid);
+               });
 }
 
 void
@@ -407,31 +398,29 @@ FabricInitiator::finishIo(
             stats_.rdmaWrites++;
     }
     stats_.latency.record(total);
-    if (obs::Tracer *t = host_.tracer()) {
-        const std::uint16_t track
-            = t->track("fabric.c" + std::to_string(connId_));
-        t->span(track, "fabric.capsule", p.trace, p.start, now,
-                {{"conn", static_cast<std::int64_t>(connId_)},
-                 {"in_capsule", p.inCapsule ? 1 : 0},
-                 {"bytes", static_cast<std::int64_t>(p.buf.size())}});
-        obs::RequestBreakdown b;
-        b.deviceNs = deviceNs;
-        b.userNs = total - deviceNs;
-        b.bytes = ok ? p.buf.size() : 0;
-        const char *name
-            = p.op == ssd::Op::Write ? "fabric.write" : "fabric.read";
-        t->request(track, name, p.trace, p.start, now, b);
-    }
     kern::IoTrace tr;
     tr.deviceNs = deviceNs;
     tr.userNs = total - deviceNs;
     // An evicted remote device fails distinctly so fabric clients can
     // fail over, mirroring the local kernel path's ENODEV.
-    p.cb(ok ? static_cast<long long>(p.buf.size())
-            : kern::errOf(st == ssd::Status::DeviceEvicted
-                              ? fs::FsStatus::NoDev
-                              : fs::FsStatus::Inval),
-         tr);
+    const long long res
+        = ok ? static_cast<long long>(p.buf.size())
+             : kern::errOf(st == ssd::Status::DeviceEvicted
+                               ? fs::FsStatus::NoDev
+                               : fs::FsStatus::Inval);
+    // The envelope is recorded here rather than by kern::openRequest at
+    // submission: only now is the granted connection's track known.
+    if (obs::Tracer *t = host_.tracer()) {
+        const std::uint16_t track = t->track("fabric.c", connId_);
+        t->span(track, "fabric.capsule", p.trace, p.start, now,
+                {{"conn", static_cast<std::int64_t>(connId_)},
+                 {"in_capsule", p.inCapsule ? 1 : 0},
+                 {"bytes", static_cast<std::int64_t>(p.buf.size())}});
+        t->request(track,
+                   p.op == ssd::Op::Write ? "fabric.write" : "fabric.read",
+                   p.trace, p.start, now, kern::breakdownOf(res, tr));
+    }
+    p.cb(res, tr);
 }
 
 void

@@ -18,7 +18,6 @@ TranslationCache::TranslationCache(unsigned entries, unsigned ways)
         p2 <<= 1;
     sets_ = p2;
     entries_.resize(static_cast<std::size_t>(sets_) * ways_);
-    hints_.resize(sets_);
 }
 
 unsigned
@@ -28,31 +27,15 @@ TranslationCache::setOf(std::uint64_t key) const
 }
 
 bool
-TranslationCache::hitEntry(Entry &e, std::uint64_t &value)
-{
-    e.lastUse = ++tick_;
-    value = e.value;
-    hits_++;
-    return true;
-}
-
-bool
 TranslationCache::lookup(std::uint64_t key, std::uint64_t &value)
 {
-    const unsigned set = setOf(key);
-    WayHint &hint = hints_[set];
-    Entry *entries = &entries_[static_cast<std::size_t>(set) * ways_];
-    if (hint.valid && hint.key == key) {
-        Entry &e = entries[hint.way];
-        // The hint may be stale (entry evicted or invalidated); the tag
-        // check keeps the fast path exact.
-        if (e.valid && e.key == key)
-            return hitEntry(e, value);
-    }
+    Entry *set = &entries_[static_cast<std::size_t>(setOf(key)) * ways_];
     for (unsigned w = 0; w < ways_; w++) {
-        if (entries[w].valid && entries[w].key == key) {
-            hint = WayHint{key, static_cast<std::uint16_t>(w), true};
-            return hitEntry(entries[w], value);
+        if (set[w].valid && set[w].key == key) {
+            set[w].lastUse = ++tick_;
+            value = set[w].value;
+            hits_++;
+            return true;
         }
     }
     misses_++;
@@ -62,8 +45,7 @@ TranslationCache::lookup(std::uint64_t key, std::uint64_t &value)
 void
 TranslationCache::insert(std::uint64_t key, std::uint64_t value)
 {
-    const unsigned setIdx = setOf(key);
-    Entry *set = &entries_[static_cast<std::size_t>(setIdx) * ways_];
+    Entry *set = &entries_[static_cast<std::size_t>(setOf(key)) * ways_];
     Entry *victim = &set[0];
     for (unsigned w = 0; w < ways_; w++) {
         if (set[w].valid && set[w].key == key) {
@@ -82,17 +64,12 @@ TranslationCache::insert(std::uint64_t key, std::uint64_t value)
     victim->value = value;
     victim->lastUse = ++tick_;
     victim->valid = true;
-    hints_[setIdx] = WayHint{
-        key, static_cast<std::uint16_t>(victim - set), true};
 }
 
 bool
 TranslationCache::invalidate(std::uint64_t key)
 {
-    const unsigned setIdx = setOf(key);
-    Entry *set = &entries_[static_cast<std::size_t>(setIdx) * ways_];
-    if (hints_[setIdx].valid && hints_[setIdx].key == key)
-        hints_[setIdx].valid = false;
+    Entry *set = &entries_[static_cast<std::size_t>(setOf(key)) * ways_];
     for (unsigned w = 0; w < ways_; w++) {
         if (set[w].valid && set[w].key == key) {
             set[w].valid = false;
@@ -110,8 +87,6 @@ TranslationCache::invalidateIf(
         if (e.valid && pred(e.key))
             e.valid = false;
     }
-    for (auto &h : hints_)
-        h.valid = false;
 }
 
 void
@@ -119,8 +94,6 @@ TranslationCache::clear()
 {
     for (auto &e : entries_)
         e.valid = false;
-    for (auto &h : hints_)
-        h.valid = false;
 }
 
 } // namespace bpd::iommu

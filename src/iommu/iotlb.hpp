@@ -15,17 +15,7 @@
 
 namespace bpd::iommu {
 
-/**
- * Set-associative LRU cache mapping a 64-bit key to a 64-bit value.
- *
- * A direct-mapped first-level "way predictor" sits in front of the
- * associative array: it remembers, per set, the way the last-hit key
- * lives in, so the Fig. 8/9 sweeps (which hammer sequential VBAs and
- * re-touch the same 2 MiB walk-cache keys) skip the way scan. It is a
- * pure host-side accelerator: hit/miss counters and LRU state advance
- * exactly as the scanning path would, keeping simulated timing
- * bit-identical.
- */
+/** Set-associative LRU cache mapping a 64-bit key to a 64-bit value. */
 class TranslationCache
 {
   public:
@@ -64,21 +54,11 @@ class TranslationCache
         bool valid = false;
     };
 
-    /** Direct-mapped L1 front: predicts the way holding a set's key. */
-    struct WayHint
-    {
-        std::uint64_t key = 0;
-        std::uint16_t way = 0;
-        bool valid = false;
-    };
-
     unsigned setOf(std::uint64_t key) const;
-    bool hitEntry(Entry &e, std::uint64_t &value);
 
     unsigned sets_;
     unsigned ways_;
     std::vector<Entry> entries_;
-    std::vector<WayHint> hints_;
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -4,36 +4,14 @@
 
 namespace bpd::kern {
 
-IoCb
-Aio::wrapRequest(const char *name, Pid pid, obs::TraceId trace, IoCb cb)
-{
-    obs::Tracer *t = k_.tracer();
-    const Time start = k_.eq().now();
-    const std::uint16_t track
-        = t->track("libaio.p" + std::to_string(pid));
-    return [this, t, name, track, trace, start,
-            cb = std::move(cb)](long long n, IoTrace tr) {
-        obs::RequestBreakdown b;
-        b.userNs = tr.userNs;
-        b.kernelNs = tr.kernelNs;
-        b.translateNs = tr.translateNs;
-        b.deviceNs = tr.deviceNs;
-        b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
-        t->request(track, name, trace, start, k_.eq().now(), b);
-        cb(n, tr);
-    };
-}
-
 void
 Aio::pread(Process &p, int fd, std::span<std::uint8_t> buf,
            std::uint64_t off, IoCb cb)
 {
     // QD1 libaio = sync path + extra io_getevents round trip.
-    obs::TraceId trace = 0;
-    if (obs::Tracer *t = k_.tracer()) {
-        trace = t->newTrace(p.pasid());
-        cb = wrapRequest("libaio.pread", p.pid(), trace, std::move(cb));
-    }
+    const obs::TraceId trace = openRequest(k_.tracer(), p.pasid(),
+                                           "libaio.pread", "libaio.p",
+                                           p.pid(), cb);
     const Time extra = k_.cpu().scaled(k_.costs().aioExtraNs);
     k_.sysPread(p, fd, buf, off,
                 [this, extra, cb = std::move(cb)](long long n,
@@ -51,11 +29,9 @@ void
 Aio::pwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
             std::uint64_t off, IoCb cb)
 {
-    obs::TraceId trace = 0;
-    if (obs::Tracer *t = k_.tracer()) {
-        trace = t->newTrace(p.pasid());
-        cb = wrapRequest("libaio.pwrite", p.pid(), trace, std::move(cb));
-    }
+    const obs::TraceId trace = openRequest(k_.tracer(), p.pasid(),
+                                           "libaio.pwrite", "libaio.p",
+                                           p.pid(), cb);
     const Time extra = k_.cpu().scaled(k_.costs().aioExtraNs);
     k_.sysPwrite(p, fd, buf, off,
                  [this, extra, cb = std::move(cb)](long long n,
@@ -82,13 +58,10 @@ Aio::submitBatch(Process &p, std::vector<Op> ops, BatchCb cb)
             IoCb done = [shared, i](long long n, IoTrace tr) {
                 (*shared)(i, n, tr);
             };
-            obs::TraceId trace = 0;
-            if (obs::Tracer *t = k_.tracer()) {
-                trace = t->newTrace(p.pasid());
-                done = wrapRequest(op.write ? "libaio.pwrite"
-                                            : "libaio.pread",
-                                   p.pid(), trace, std::move(done));
-            }
+            const obs::TraceId trace = openRequest(
+                k_.tracer(), p.pasid(),
+                op.write ? "libaio.pwrite" : "libaio.pread", "libaio.p",
+                p.pid(), done);
             if (op.write) {
                 k_.sysPwrite(p, op.fd,
                              std::span<const std::uint8_t>(op.buf.data(),

@@ -34,6 +34,35 @@ devErr(ssd::Status st)
                                                   : fs::FsStatus::Inval);
 }
 
+obs::RequestBreakdown
+breakdownOf(long long n, const IoTrace &tr)
+{
+    obs::RequestBreakdown b;
+    b.userNs = tr.userNs;
+    b.kernelNs = tr.kernelNs;
+    b.translateNs = tr.translateNs;
+    b.deviceNs = tr.deviceNs;
+    b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
+    return b;
+}
+
+obs::TraceId
+openRequest(obs::Tracer *t, TenantId tenant, const char *name,
+            const char *trackPrefix, std::uint64_t trackId, IoCb &cb)
+{
+    if (!t)
+        return 0;
+    const obs::TraceId trace = t->newTrace(tenant);
+    const std::uint16_t track = t->track(trackPrefix, trackId);
+    const Time start = t->now();
+    cb = [t, name, track, trace, start,
+          cb = std::move(cb)](long long n, IoTrace tr) {
+        t->request(track, name, trace, start, t->now(), breakdownOf(n, tr));
+        cb(n, tr);
+    };
+    return trace;
+}
+
 Kernel::Kernel(sim::EventQueue &eq, mem::FrameAllocator &fa,
                iommu::Iommu &iommu, fs::Vfs &vfs, ssd::NvmeDevice &dev,
                CostModel costs, KernelConfig cfg)
@@ -114,37 +143,6 @@ Kernel::forEachProcess(const std::function<void(Process &)> &fn)
         fn(*proc);
 }
 
-std::uint16_t
-Kernel::ktrack(Pid pid)
-{
-    auto it = obsTracks_.find(pid);
-    if (it != obsTracks_.end())
-        return it->second;
-    const std::uint16_t t
-        = trace_->track("kern.p" + std::to_string(pid));
-    obsTracks_[pid] = t;
-    return t;
-}
-
-IoCb
-Kernel::wrapRequest(const char *name, Pid pid, obs::TraceId trace,
-                    IoCb cb)
-{
-    const Time start = eq_.now();
-    const std::uint16_t track = ktrack(pid);
-    return [this, name, track, trace, start,
-            cb = std::move(cb)](long long n, IoTrace tr) {
-        obs::RequestBreakdown b;
-        b.userNs = tr.userNs;
-        b.kernelNs = tr.kernelNs;
-        b.translateNs = tr.translateNs;
-        b.deviceNs = tr.deviceNs;
-        b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
-        trace_->request(track, name, trace, start, eq_.now(), b);
-        cb(n, tr);
-    };
-}
-
 fs::FsStatus
 Kernel::setNamespaceRoot(Process &p, const std::string &root)
 {
@@ -169,7 +167,7 @@ Kernel::nsPath(const Process &p, const std::string &path) const
 }
 
 void
-Kernel::deviceIo(ssd::Op op, const std::vector<fs::Seg> &segs,
+Kernel::deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
                  std::span<std::uint8_t> buf,
                  std::function<void(ssd::Status, Time)> cb,
                  obs::TraceId trace, TenantId tenant)
@@ -179,69 +177,55 @@ Kernel::deviceIo(ssd::Op op, const std::vector<fs::Seg> &segs,
     // tenant's FIFO (never dropped, never reordered) and issues when
     // the buckets refill. Flushes do not pass through deviceIo, so
     // every call here is data-path ops/bytes.
-    if (qos_ && !segs.empty()) {
-        std::uint64_t bytes = 0;
-        for (const auto &seg : segs)
-            bytes += seg.len;
-        if (!qos_->tryAcquire(tenant, segs.size(), bytes)) {
-            qos_->park(tenant, segs.size(), bytes,
-                       [this, op, segs, buf, cb = std::move(cb), trace,
-                        tenant]() mutable {
-                           deviceIoNow(op, segs, buf, std::move(cb),
-                                       trace, tenant);
-                       });
+    std::uint64_t bytes = 0;
+    for (const auto &seg : segs)
+        bytes += seg.len;
+    const std::size_t nsegs = segs.size();
+    qos::admit(nsegs ? qos_ : nullptr, tenant, nsegs, bytes,
+               [this, op, segs = std::move(segs), buf, cb = std::move(cb),
+                trace, tenant]() mutable {
+        struct Agg
+        {
+            std::size_t remaining;
+            ssd::Status worst = ssd::Status::Success;
+            Time start;
+            std::function<void(ssd::Status, Time)> cb;
+        };
+        auto agg = std::make_shared<Agg>();
+        agg->remaining = segs.size();
+        agg->start = eq_.now();
+        agg->cb = std::move(cb);
+        if (segs.empty()) {
+            eq_.after(0, [agg]() { agg->cb(ssd::Status::Success, 0); });
             return;
         }
-    }
-    deviceIoNow(op, segs, buf, std::move(cb), trace, tenant);
-}
-
-void
-Kernel::deviceIoNow(ssd::Op op, const std::vector<fs::Seg> &segs,
-                    std::span<std::uint8_t> buf,
-                    std::function<void(ssd::Status, Time)> cb,
-                    obs::TraceId trace, TenantId tenant)
-{
-    struct Agg
-    {
-        std::size_t remaining;
-        ssd::Status worst = ssd::Status::Success;
-        Time start;
-        std::function<void(ssd::Status, Time)> cb;
-    };
-    auto agg = std::make_shared<Agg>();
-    agg->remaining = segs.size();
-    agg->start = eq_.now();
-    agg->cb = std::move(cb);
-    if (segs.empty()) {
-        eq_.after(0, [agg]() { agg->cb(ssd::Status::Success, 0); });
-        return;
-    }
-    std::uint64_t off = 0;
-    for (const auto &seg : segs) {
-        // Route by volume address: the placement layer guarantees an
-        // extent never straddles a slot, so one seg is one device.
-        Slot &slot = slots_[slotOf(seg.addr)];
-        sim::panicIf(slotOf(seg.addr) != slotOf(seg.addr + seg.len - 1),
-                     "deviceIo seg straddles a device slot");
-        ssd::Command cmd;
-        cmd.op = op;
-        cmd.addr = seg.addr - slot.base;
-        cmd.addrIsVba = false;
-        cmd.len = static_cast<std::uint32_t>(seg.len);
-        cmd.hostBuf = buf.subspan(off, seg.len);
-        cmd.trace = trace;
-        cmd.tenant = tenant;
-        off += seg.len;
-        const bool ok = slot.kq->submit(cmd, [this, agg](
-                                             const ssd::Completion &c) {
-            if (c.status != ssd::Status::Success)
-                agg->worst = c.status;
-            if (--agg->remaining == 0)
-                agg->cb(agg->worst, eq_.now() - agg->start);
-        });
-        sim::panicIf(!ok, "kernel queue overflow");
-    }
+        std::uint64_t off = 0;
+        for (const auto &seg : segs) {
+            // Route by volume address: the placement layer guarantees
+            // an extent never straddles a slot, so one seg is one
+            // device.
+            Slot &slot = slots_[slotOf(seg.addr)];
+            sim::panicIf(slotOf(seg.addr) != slotOf(seg.addr + seg.len - 1),
+                         "deviceIo seg straddles a device slot");
+            ssd::Command cmd;
+            cmd.op = op;
+            cmd.addr = seg.addr - slot.base;
+            cmd.addrIsVba = false;
+            cmd.len = static_cast<std::uint32_t>(seg.len);
+            cmd.hostBuf = buf.subspan(off, seg.len);
+            cmd.trace = trace;
+            cmd.tenant = tenant;
+            off += seg.len;
+            const bool ok = slot.kq->submit(cmd, [this, agg](
+                                                 const ssd::Completion &c) {
+                if (c.status != ssd::Status::Success)
+                    agg->worst = c.status;
+                if (--agg->remaining == 0)
+                    agg->cb(agg->worst, eq_.now() - agg->start);
+            });
+            sim::panicIf(!ok, "kernel queue overflow");
+        }
+    });
 }
 
 void
@@ -310,10 +294,9 @@ Kernel::sysPread(Process &p, int fd, std::span<std::uint8_t> buf,
                  std::uint64_t off, IoCb cb, obs::TraceId trace)
 {
     noteSyscall(p);
-    if (trace_ && trace == 0) {
-        trace = trace_->newTrace(p.pasid());
-        cb = wrapRequest("sync.pread", p.pid(), trace, std::move(cb));
-    }
+    if (trace == 0)
+        trace = openRequest(trace_, p.pasid(), "sync.pread", "kern.p",
+                            p.pid(), cb);
     OpenFile *of = p.file(fd);
     if (!of || !(of->flags & kOpenRead)) {
         eq_.after(costs_.userToKernelNs, [cb = std::move(cb)]() {
@@ -334,10 +317,9 @@ Kernel::sysPwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
                   std::uint64_t off, IoCb cb, obs::TraceId trace)
 {
     noteSyscall(p);
-    if (trace_ && trace == 0) {
-        trace = trace_->newTrace(p.pasid());
-        cb = wrapRequest("sync.pwrite", p.pid(), trace, std::move(cb));
-    }
+    if (trace == 0)
+        trace = openRequest(trace_, p.pasid(), "sync.pwrite", "kern.p",
+                            p.pid(), cb);
     OpenFile *of = p.file(fd);
     if (!of || !(of->flags & kOpenWrite)) {
         eq_.after(costs_.userToKernelNs, [cb = std::move(cb)]() {
@@ -415,8 +397,8 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
         TenantScope ts(*this, tenant);
         if (trace_ && trace_->wants(obs::Level::Layers)) {
             // Syscall entry through driver submit (Table 1 rows 1-4).
-            trace_->span(ktrack(pid), "kern.vfs_submit", trace, start,
-                         eq_.now());
+            trace_->span(trace_->track("kern.p", pid), "kern.vfs_submit",
+                         trace, start, eq_.now());
         }
         // Device I/O happens on the sector-aligned envelope; unaligned
         // requests bounce through a kernel buffer.
@@ -439,7 +421,7 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
             target = std::span<std::uint8_t>(*bounce);
         }
         deviceIo(
-            ssd::Op::Read, segs, target,
+            ssd::Op::Read, std::move(segs), target,
             [this, buf, off, n, aStart, bounce, start, pid, tenant, trace,
              &ino, cb = std::move(cb)](ssd::Status dst,
                                        Time devNs) mutable {
@@ -456,8 +438,9 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
                                      devNs, dst, this,
                                      cb = std::move(cb)]() {
                     if (trace_ && trace_->wants(obs::Level::Layers)) {
-                        trace_->span(ktrack(pid), "kern.exit", trace,
-                                     exitStart, eq_.now());
+                        trace_->span(trace_->track("kern.p", pid),
+                                     "kern.exit", trace, exitStart,
+                                     eq_.now());
                     }
                     IoTrace tr;
                     const Time total = eq_.now() - start;
@@ -527,8 +510,8 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         TenantScope ts(*this, tenant);
         if (trace_ && trace_->wants(obs::Level::Layers)) {
             // Includes any wait on the per-inode ext4 write lock.
-            trace_->span(ktrack(pid), "kern.vfs_submit", trace, start,
-                         eq_.now());
+            trace_->span(trace_->track("kern.p", pid), "kern.vfs_submit",
+                         trace, start, eq_.now());
         }
         const std::uint64_t aStart = off & ~(kSectorBytes - 1);
         const std::uint64_t aEnd
@@ -552,8 +535,8 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
             eq_.after(exitCost, [this, n, start, exitStart, pid, trace,
                                  devNs, dst, cb = std::move(cb)]() {
                 if (trace_ && trace_->wants(obs::Level::Layers)) {
-                    trace_->span(ktrack(pid), "kern.exit", trace,
-                                 exitStart, eq_.now());
+                    trace_->span(trace_->track("kern.p", pid), "kern.exit",
+                                 trace, exitStart, eq_.now());
                 }
                 IoTrace tr;
                 const Time total = eq_.now() - start;
@@ -567,7 +550,7 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         };
 
         if (aligned) {
-            deviceIo(ssd::Op::Write, segs, unconst(buf),
+            deviceIo(ssd::Op::Write, std::move(segs), unconst(buf),
                      std::move(finish), trace, tenant);
             return;
         }
@@ -586,7 +569,7 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
                 }
                 std::memcpy(bounce->data() + (off - aStart),
                             buf.data(), n);
-                deviceIo(ssd::Op::Write, segs,
+                deviceIo(ssd::Op::Write, std::move(segs),
                          std::span<std::uint8_t>(*bounce),
                          [bounce, rdevNs, finish = std::move(finish)](
                              ssd::Status wst, Time wdevNs) mutable {
@@ -689,7 +672,7 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
                         auto keep = std::make_shared<
                             std::unique_ptr<fs::PageCache::Page>>(
                             std::move(evicted));
-                        deviceIo(ssd::Op::Write, vsegs,
+                        deviceIo(ssd::Op::Write, std::move(vsegs),
                                  std::span<std::uint8_t>(
                                      (*keep)->data.data(), kBlockBytes),
                                  [keep](ssd::Status, Time) {}, 0, vt);
@@ -709,7 +692,7 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
                                                  kBlockBytes, &segs);
             sim::panicIf(st != fs::FsStatus::Ok,
                          "mapped page failed mapRange");
-            deviceIo(ssd::Op::Read, segs,
+            deviceIo(ssd::Op::Read, std::move(segs),
                      std::span<std::uint8_t>(scratch->data(), kBlockBytes),
                      [installPage](ssd::Status, Time) { installPage(); },
                      trace, tenant);
@@ -775,7 +758,7 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
                     auto keep = std::make_shared<
                         std::unique_ptr<fs::PageCache::Page>>(
                         std::move(evicted));
-                    deviceIo(ssd::Op::Write, vsegs,
+                    deviceIo(ssd::Op::Write, std::move(vsegs),
                              std::span<std::uint8_t>((*keep)->data.data(),
                                                      kBlockBytes),
                              [keep](ssd::Status, Time) {}, 0, vt);
@@ -813,7 +796,7 @@ Kernel::writebackDirty(fs::Inode &ino, std::function<void(Time)> done)
             continue;
         }
         // Each page is billed to the tenant that last touched it.
-        deviceIo(ssd::Op::Write, segs,
+        deviceIo(ssd::Op::Write, std::move(segs),
                  std::span<std::uint8_t>(page->data.data(), kBlockBytes),
                  [this, remaining, start, done](ssd::Status, Time) {
                      if (--*remaining == 0)
@@ -993,10 +976,9 @@ Kernel::appendPath(Process &p, fs::Inode &ino,
                    IoCb cb, obs::TraceId trace)
 {
     noteSyscall(p);
-    if (trace_ && trace == 0) {
-        trace = trace_->newTrace(p.pasid());
-        cb = wrapRequest("sync.append", p.pid(), trace, std::move(cb));
-    }
+    if (trace == 0)
+        trace = openRequest(trace_, p.pasid(), "sync.append", "kern.p",
+                            p.pid(), cb);
     // Appends route through the kernel: allocate, update metadata, attach
     // new FTEs, then write directly to the device without buffering
     // (Table 3).

@@ -66,6 +66,23 @@ using IoCb = std::function<void(long long, IoTrace)>;
 /** Metadata-op completion: 0/fd or negative FsStatus. */
 using IntCb = std::function<void(int)>;
 
+/** The Table 1 breakdown a request envelope records for a completion
+ *  with result @p n (bytes, or a negative error) and attribution @p tr. */
+obs::RequestBreakdown breakdownOf(long long n, const IoTrace &tr);
+
+/**
+ * Open the request envelope of one I/O at its outermost submission
+ * site (DESIGN.md §9). Allocates a trace id owned by @p tenant and wraps
+ * @p cb so that its completion first records the @p name envelope
+ * span, from now until then, on the track "<trackPrefix><trackId>",
+ * carrying breakdownOf() the completion. Returns the trace id; with a
+ * null tracer it returns 0 and leaves @p cb as it is. @p name and
+ * @p trackPrefix must be string literals.
+ */
+obs::TraceId openRequest(obs::Tracer *t, TenantId tenant, const char *name,
+                         const char *trackPrefix, std::uint64_t trackId,
+                         IoCb &cb);
+
 /** Map FsStatus to a negative syscall return code. */
 inline int
 errOf(fs::FsStatus st)
@@ -228,15 +245,16 @@ class Kernel
     ///@}
 
     /**
-     * Submit a multi-segment device I/O on the kernel queue.
+     * Submit a multi-segment device I/O on the kernel queue, billed to
+     * and QoS-gated as @p tenant.
+     * @param trace Request trace id the commands carry (0 = none).
      * @param cb Fires when all segments completed; passes worst status
      *           and the span of device time.
      */
-    void deviceIo(ssd::Op op, const std::vector<fs::Seg> &segs,
+    void deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
                   std::span<std::uint8_t> buf,
                   std::function<void(ssd::Status, Time)> cb,
-                  obs::TraceId trace = 0,
-                  TenantId tenant = kSystemTenant);
+                  obs::TraceId trace, TenantId tenant);
 
     /**
      * Attach the QoS registry (null = disabled, the default). deviceIo
@@ -304,12 +322,6 @@ class Kernel
                        std::uint64_t off, IoCb cb, obs::TraceId trace);
     void writebackDirty(fs::Inode &ino, std::function<void(Time)> done);
 
-    /** The ungated deviceIo body (QoS already charged or disabled). */
-    void deviceIoNow(ssd::Op op, const std::vector<fs::Seg> &segs,
-                     std::span<std::uint8_t> buf,
-                     std::function<void(ssd::Status, Time)> cb,
-                     obs::TraceId trace, TenantId tenant);
-
     /** syscalls_++ plus per-tenant attribution (same site). */
     void noteSyscall(const Process &p)
     {
@@ -317,12 +329,6 @@ class Kernel
         if (acct_)
             acct_->of(p.pasid()).kernSyscalls++;
     }
-
-    /** Interned "kern.p<pid>" track (tracer enabled only). */
-    std::uint16_t ktrack(Pid pid);
-    /** Wrap @p cb to emit the request envelope span at completion. */
-    IoCb wrapRequest(const char *name, Pid pid, obs::TraceId trace,
-                     IoCb cb);
 
     sim::EventQueue &eq_;
     mem::FrameAllocator &fa_;
@@ -355,7 +361,6 @@ class Kernel
     std::uint64_t syscalls_ = 0;
 
     obs::Tracer *trace_ = nullptr;
-    std::unordered_map<Pid, std::uint16_t> obsTracks_;
 
     obs::TenantAccounting *acct_ = nullptr;
     TenantId activeTenant_ = kSystemTenant;

@@ -79,6 +79,26 @@ std::uint16_t Tracer::track(const std::string &name)
     return static_cast<std::uint16_t>(data_.tracks.size() - 1);
 }
 
+// Two copies of one literal at different addresses only cost a second
+// cache entry: track(const std::string &) dedups the interned name.
+std::uint16_t Tracer::track(const char *name)
+{
+    auto [it, fresh] = namedTracks_.try_emplace(
+        reinterpret_cast<std::uintptr_t>(name), 0);
+    if (fresh)
+        it->second = track(std::string(name));
+    return it->second;
+}
+
+std::uint16_t Tracer::track(const char *prefix, std::uint64_t id)
+{
+    auto [it, fresh] = numberedTracks_.try_emplace(
+        {reinterpret_cast<std::uintptr_t>(prefix), id}, 0);
+    if (fresh)
+        it->second = track(prefix + std::to_string(id));
+    return it->second;
+}
+
 void Tracer::emit(SpanRec &rec)
 {
     rec.tenant = tenantOf(rec.trace);

@@ -4,11 +4,12 @@
  *
  * Every simulated I/O is assigned a trace id at its outermost
  * submission point (UserLib pread/pwrite, sync syscall, libaio,
- * io_uring, SPDK) and carries it across layer boundaries; each layer
- * emits spans stamped with virtual time. Spans are recorded
- * retrospectively — a layer emits the span when the request completes,
- * using the start timestamp it captured in its completion closure — so
- * no per-request span stack is needed across async callbacks.
+ * io_uring, SPDK, fabric initiator) and carries it across layer
+ * boundaries; each layer emits spans stamped with virtual time.
+ * Spans are recorded retrospectively — a layer emits the span when the
+ * request completes, using the start timestamp it captured in its
+ * completion closure — so no per-request span stack is needed across
+ * async callbacks.
  *
  * Zero-cost-when-disabled contract: components hold a raw
  * `obs::Tracer *` that is null by default. Every instrumentation site
@@ -32,6 +33,7 @@
 #include <initializer_list>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -241,8 +243,8 @@ class Tracer
     /**
      * Allocate a request id owned by @p tenant. Every span emitted
      * with the returned id is stamped with the tenant, so the request
-     * envelope sites (UserLib pread/pwrite, sync syscall, libaio,
-     * io_uring, SPDK) are the only places that need to know identity.
+     * envelope sites (kern::openRequest, the fabric initiator) are the
+     * only places that need to know identity.
      * Registration allocates (tracing already allocates per span).
      */
     TraceId newTrace(TenantId tenant)
@@ -271,11 +273,22 @@ class Tracer
     /** Current virtual time. */
     Time now() const { return eq_.now(); }
 
-    /**
-     * Intern a track (Perfetto thread) name; returns its id. Called on
-     * the first traced event of a component, which caches the result.
-     */
+    /** Intern a track (Perfetto thread) name; returns its id. */
     std::uint16_t track(const std::string &name);
+
+    /**
+     * track(name) for a string literal, cached by the literal's address
+     * so per-request call sites build no string after the first call.
+     */
+    std::uint16_t track(const char *name);
+
+    /**
+     * The track named @p prefix followed by the decimal @p id (e.g.
+     * "kern.p" and 3 give "kern.p3"), for per-request call sites: the
+     * name is built and interned on the first call only, later calls
+     * are a lookup. @p prefix must be a string literal.
+     */
+    std::uint16_t track(const char *prefix, std::uint64_t id);
 
     /** Record a complete span [start, end] on @p track. */
     void span(std::uint16_t track, const char *name, TraceId trace,
@@ -350,6 +363,11 @@ class Tracer
     Level level_;
     TraceId lastTrace_ = 0;
     TraceData data_;
+    /** track(name) and track(prefix, id) caches, keyed by the
+     *  literal's address. */
+    std::map<std::uintptr_t, std::uint16_t> namedTracks_;
+    std::map<std::pair<std::uintptr_t, std::uint64_t>, std::uint16_t>
+        numberedTracks_;
     std::map<TraceId, TenantId> traceTenants_;
     SpanSink *sink_ = nullptr;
     std::size_t spanCount_ = 0;

@@ -14,11 +14,12 @@
  * FIFO and the registry drains in order as tokens accrue, scheduling
  * one deterministic drain event at the computed ready time.
  *
- * Wiring follows the obs:: null-pointer discipline: every enforcement
- * site guards on a raw `qos::Registry *` (null = disabled, one branch,
- * zero allocations — asserted by test_obs_alloc). A registry with no
- * entry for a tenant admits it unconditionally without touching any
- * state, so enabling QoS with no limits is digest-neutral.
+ * Every submission site passes through the one gate, qos::admit(),
+ * which follows the obs:: null-pointer discipline: a null registry is
+ * one branch and runs the submission in place (zero allocations —
+ * asserted by test_obs_alloc). A registry with no entry for a tenant
+ * admits it unconditionally without touching any state, so enabling
+ * QoS with no limits is digest-neutral.
  *
  * Ordering invariant: once a tenant has a parked backlog, every new
  * submission parks behind it (tryAcquire refuses even when tokens are
@@ -31,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 
 #include "common/types.hpp"
 #include "obs/tenant.hpp"
@@ -99,9 +101,10 @@ class Registry
     /**
      * Charge @p ops / @p bytes against @p t's buckets at the current
      * virtual time. True = admitted (tokens charged, submit now).
-     * False = over limit or behind a parked backlog: the caller must
-     * park() the submission instead of issuing it. Unlimited tenants
-     * are admitted without touching any state.
+     * False = over limit or behind a parked backlog: the submission
+     * must park() instead of issuing. Unlimited tenants are admitted
+     * without touching any state. Submission sites go through
+     * qos::admit(), which pairs the two calls.
      */
     bool
     tryAcquire(TenantId t, std::uint64_t ops, std::uint64_t bytes)
@@ -332,6 +335,25 @@ class Registry
     std::uint64_t throttledBytes_ = 0;
     std::uint64_t admits_ = 0;
 };
+
+/**
+ * The QoS gate of every submission site. Runs @p fn in place when
+ * @p reg is null or admits @p ops / @p bytes for tenant @p t; otherwise
+ * parks @p fn on the tenant's FIFO, to run with the tokens charged once
+ * the buckets refill. The admitted path type-erases nothing: only a
+ * parked closure is converted to an EventQueue::Callback (which may
+ * allocate when its captures exceed the inline buffer).
+ */
+template <typename Fn>
+void
+admit(Registry *reg, TenantId t, std::uint64_t ops, std::uint64_t bytes,
+      Fn &&fn)
+{
+    if (!reg || reg->tryAcquire(t, ops, bytes))
+        fn();
+    else
+        reg->park(t, ops, bytes, std::forward<Fn>(fn));
+}
 
 } // namespace bpd::qos
 

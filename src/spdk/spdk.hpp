@@ -62,21 +62,19 @@ class SpdkDriver
     /** I/Os submitted but not yet reaped. */
     std::uint64_t pendingIos() const { return pendingIos_; }
 
-    /** Raw read of @p buf.size() bytes at device byte address @p addr. */
+    /**
+     * Raw read of @p buf.size() bytes at device byte address @p addr.
+     * With a QoS registry on the device (System::enableQos wires it),
+     * each I/O charges the owner tenant's token buckets; over-limit
+     * submissions park and issue in order on refill, so even the
+     * kernel-bypass lower bound honors tenant caps.
+     */
     void read(Tid tid, DevAddr addr, std::span<std::uint8_t> buf,
               kern::IoCb cb);
 
     /** Raw write. */
     void write(Tid tid, DevAddr addr, std::span<const std::uint8_t> buf,
                kern::IoCb cb);
-
-    /**
-     * Attach the QoS registry (null = disabled, the default). The
-     * baseline then charges the owner tenant's token buckets per I/O;
-     * over-limit submissions park and issue in order on refill, so
-     * even the kernel-bypass lower bound honors tenant caps.
-     */
-    void setQos(qos::Registry *q) { qos_ = q; }
 
   private:
     struct ThreadCtx
@@ -88,8 +86,6 @@ class SpdkDriver
     ThreadCtx &ctx(Tid tid);
     void doIo(Tid tid, ssd::Op op, DevAddr addr,
               std::span<std::uint8_t> buf, kern::IoCb cb);
-    void doIoNow(Tid tid, ssd::Op op, DevAddr addr,
-                 std::span<std::uint8_t> buf, kern::IoCb cb);
     void scheduleDrainPoll();
     void teardown();
 
@@ -104,7 +100,6 @@ class SpdkDriver
     /** Cancels queued drain polls if the driver is destroyed first. */
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
     std::map<Tid, ThreadCtx> threads_;
-    qos::Registry *qos_ = nullptr;
 };
 
 } // namespace bpd::spdk

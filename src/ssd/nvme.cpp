@@ -1,7 +1,6 @@
 #include "ssd/nvme.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "obs/trace.hpp"
 #include "qos/qos.hpp"
@@ -147,15 +146,6 @@ NvmeDevice::releaseExclusive(Pasid owner)
         qp->disabled_ = false;
 }
 
-std::uint16_t
-NvmeDevice::qtrack(QueuePair &qp)
-{
-    if (qp.obsTrack_ == 0)
-        qp.obsTrack_
-            = trace_->track("nvme.q" + std::to_string(qp.qid_));
-    return qp.obsTrack_;
-}
-
 void
 NvmeDevice::ring(std::uint16_t qid)
 {
@@ -237,8 +227,8 @@ NvmeDevice::finish(QueuePair &qp, Completion comp)
     if (trace_ && trace_->wants(obs::Level::Layers)) {
         // Full device-side command lifetime: SQ fetch through CQ post.
         trace_->span(
-            qtrack(qp), "nvme.cmd", comp.trace, comp.submitTime,
-            comp.completeTime,
+            trace_->track("nvme.q", qp.qid()), "nvme.cmd", comp.trace,
+            comp.submitTime, comp.completeTime,
             {{"xlate_ns", static_cast<std::int64_t>(comp.translateNs)},
              {"status", static_cast<std::int64_t>(comp.status)}});
     }
@@ -328,8 +318,8 @@ NvmeDevice::mediaDone(std::uint32_t idx)
     job.comp.completeTime = eq_.now();
     if (trace_ && trace_->wants(obs::Level::Device)) {
         trace_->span(
-            qtrack(*job.qp), "nvme.media", job.comp.trace, job.mediaStart,
-            eq_.now(),
+            trace_->track("nvme.q", job.qp->qid()), "nvme.media",
+            job.comp.trace, job.mediaStart, eq_.now(),
             {{"bytes", static_cast<std::int64_t>(job.len)},
              {"write", static_cast<std::int64_t>(job.op == Op::Write)}});
     }
@@ -374,8 +364,8 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
         && submitTime > cmd.enq) {
         // Time spent queued in the SQ before round-robin arbitration
         // fetched the command.
-        trace_->span(qtrack(qp), "nvme.sq_wait", cmd.trace, cmd.enq,
-                     submitTime);
+        trace_->span(trace_->track("nvme.q", qp.qid()), "nvme.sq_wait",
+                     cmd.trace, cmd.enq, submitTime);
     }
 
     auto fail = [&](Status st, Time extraDelay) {
@@ -462,8 +452,8 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
             // writes it overlaps the data-in transfer (Section 4.3).
             const Time ats = submitTime + profile_.cmdFetchNs;
             trace_->span(
-                qtrack(qp), "iommu.ats_translate", cmd.trace, ats,
-                ats + tr.latency,
+                trace_->track("nvme.q", qp.qid()), "iommu.ats_translate",
+                cmd.trace, ats, ats + tr.latency,
                 {{"pages", static_cast<std::int64_t>(tr.pages)},
                  {"frames_read",
                   static_cast<std::int64_t>(tr.framesRead)},

@@ -227,8 +227,6 @@ class QueuePair
     std::uint64_t completedOps_ = 0;
     std::uint64_t completedBytes_ = 0;
     std::uint64_t faults_ = 0;
-
-    std::uint16_t obsTrack_ = 0; //!< interned "nvme.q<qid>" track
 };
 
 /**
@@ -305,6 +303,7 @@ class NvmeDevice
      * paper describes, bit-identically.
      */
     void setQos(qos::Registry *q) { qos_ = q; }
+    qos::Registry *qos() const { return qos_; }
 
     /** @name Aggregate statistics */
     ///@{
@@ -361,7 +360,6 @@ class NvmeDevice
     };
 
     void ring(std::uint16_t qid);
-    std::uint16_t qtrack(QueuePair &qp);
     void tryDispatch();
     void process(QueuePair &qp, Command cmd);
     void finish(QueuePair &qp, Completion comp);

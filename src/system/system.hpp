@@ -148,10 +148,11 @@ class System
     /**
      * Turn on per-tenant QoS and wire the registry into every
      * submission site (kernel deviceIo, UserLib direct path, every
-     * fleet device's SQ arbitration; SPDK and fabric initiators wire
-     * themselves via qos()). Idempotent. A registry with no limits set
-     * admits everything without touching state, so enabling QoS alone
-     * is digest-neutral; setLimit()/weights then make it bite.
+     * fleet device's SQ arbitration and the SPDK drivers on those
+     * devices; fabric initiators read it via qos()). Idempotent. A
+     * registry with no limits set admits everything without touching
+     * state, so enabling QoS alone is digest-neutral;
+     * setLimit()/weights then make it bite.
      */
     qos::Registry &enableQos();
 

@@ -232,7 +232,6 @@ FioRunState::arm()
         spdkDrv = std::make_unique<spdk::SpdkDriver>(
             s.eq, s.dev, s.kernel.cpu(),
             ctxs[0]->proc->pasid());
-        spdkDrv->setQos(s.qos());
         sim::panicIf(!spdkDrv->init(), "fio: spdk claim failed");
         mark(obs::ReplayRec::Open, *ctxs[0]);
     }

@@ -31,15 +31,17 @@ XrpEngine::lookup(kern::Process &p, int fd, Hop first, ChainFn chain,
     const Time entry = k_.cpu().scaled(
         c.userToKernelNs + c.vfsCost(first.len) + c.blockLayerNs
         + c.nvmeDriverNs);
+    const TenantId tenant = p.pasid();
     k_.eq().after(entry, [this, ino, first, chain = std::move(chain),
-                          start, cb = std::move(cb)]() mutable {
-        doHop(*ino, first, 0, std::move(chain), start, std::move(cb));
+                          start, tenant, cb = std::move(cb)]() mutable {
+        doHop(*ino, first, 0, std::move(chain), start, tenant,
+              std::move(cb));
     });
 }
 
 void
 XrpEngine::doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
-                 Time start, kern::IoCb cb)
+                 Time start, TenantId tenant, kern::IoCb cb)
 {
     hops_++;
     // Clip at EOF.
@@ -66,10 +68,11 @@ XrpEngine::doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
     }
 
     auto block = std::make_shared<std::vector<std::uint8_t>>(len, 0);
+    // Every hop is billed to and QoS-gated as the calling process.
     k_.deviceIo(
-        ssd::Op::Read, segs,
+        ssd::Op::Read, std::move(segs),
         std::span<std::uint8_t>(block->data(), block->size()),
-        [this, &ino, block, hopIdx, chain = std::move(chain), start,
+        [this, &ino, block, hopIdx, chain = std::move(chain), start, tenant,
          cb = std::move(cb)](ssd::Status dst, Time devNs) mutable {
             (void)devNs;
             if (dst != ssd::Status::Success) {
@@ -79,7 +82,7 @@ XrpEngine::doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
             // Run the BPF program in the driver context.
             const Time bpf = k_.cpu().scaled(costs_.bpfExecNs);
             k_.eq().after(bpf, [this, &ino, block, hopIdx,
-                                chain = std::move(chain), start,
+                                chain = std::move(chain), start, tenant,
                                 cb = std::move(cb)]() mutable {
                 std::optional<Hop> next = chain(
                     std::span<const std::uint8_t>(block->data(),
@@ -101,12 +104,14 @@ XrpEngine::doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
                     = k_.cpu().scaled(costs_.resubmitNs);
                 k_.eq().after(resubmit, [this, &ino, next, hopIdx,
                                          chain = std::move(chain), start,
+                                         tenant,
                                          cb = std::move(cb)]() mutable {
                     doHop(ino, *next, hopIdx + 1, std::move(chain),
-                          start, std::move(cb));
+                          start, tenant, std::move(cb));
                 });
             });
-        });
+        },
+        0, tenant);
 }
 
 } // namespace bpd::xrp

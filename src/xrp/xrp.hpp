@@ -60,7 +60,7 @@ class XrpEngine
 
   private:
     void doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
-               Time start, kern::IoCb cb);
+               Time start, TenantId tenant, kern::IoCb cb);
 
     kern::Kernel &k_;
     XrpCosts costs_;

@@ -1,12 +1,14 @@
 /**
  * @file
- * Baseline engines (SPDK exclusivity, XRP chained lookups), simulation
- * determinism, and full end-to-end integration scenarios combining
- * multiple processes, engines, revocation and crash recovery.
+ * Baseline engines (SPDK exclusivity, XRP chained lookups and their
+ * tenant billing and QoS gating), simulation determinism, and full
+ * end-to-end integration scenarios combining multiple processes,
+ * engines, revocation and crash recovery.
  */
 
 #include <gtest/gtest.h>
 
+#include "qos/qos.hpp"
 #include "tests/helpers.hpp"
 #include "workloads/fio.hpp"
 #include "xrp/xrp.hpp"
@@ -101,6 +103,19 @@ TEST(Spdk, ShutdownWithQueuedIoDrainsFirst)
 
 // --- XRP ---
 
+namespace {
+
+/** A 6-hop chain: 512 B at 0, then 4, 8, ..., 20 KiB. */
+std::optional<xrp::Hop>
+sixHops(std::span<const std::uint8_t>, unsigned i)
+{
+    if (i >= 5)
+        return std::nullopt;
+    return xrp::Hop{(i + 1) * 4096ull, 512};
+}
+
+} // namespace
+
 TEST(Xrp, ChainedLookupCheaperThanSyncChain)
 {
     sim::setVerbose(false);
@@ -112,13 +127,7 @@ TEST(Xrp, ChainedLookupCheaperThanSyncChain)
     xrp::XrpEngine engine(s.kernel);
     Time t0 = s.now();
     long long hops = -1;
-    engine.lookup(p, fd, xrp::Hop{0, 512},
-                  [](std::span<const std::uint8_t>, unsigned i)
-                      -> std::optional<xrp::Hop> {
-                      if (i >= 5)
-                          return std::nullopt;
-                      return xrp::Hop{(i + 1) * 4096ull, 512};
-                  },
+    engine.lookup(p, fd, xrp::Hop{0, 512}, sixHops,
                   [&](long long n, kern::IoTrace) { hops = n; });
     s.run();
     const Time xrpLat = s.now() - t0;
@@ -160,6 +169,53 @@ TEST(Xrp, RequiresODirect)
                   [&](long long n, kern::IoTrace) { res = n; });
     s.run();
     EXPECT_LT(res, 0);
+}
+
+TEST(Xrp, ChainIsBilledToTheCaller)
+{
+    // Every hop's device read is the calling process's I/O, so its
+    // tenant row carries all six SSD commands.
+    sim::setVerbose(false);
+    sys::System s(smallConfig());
+    s.enableTenantAccounting();
+    kern::Process &p = s.newProcess();
+    const int fd = s.kernel.setupCreateFile(p, "/idx", 8 << 20, 7);
+
+    xrp::XrpEngine engine(s.kernel);
+    long long hops = -1;
+    engine.lookup(p, fd, xrp::Hop{0, 512}, sixHops,
+                  [&](long long n, kern::IoTrace) { hops = n; });
+    s.run();
+    ASSERT_EQ(hops, 6);
+    const obs::TenantCounters *row = s.tenantAccounting().find(p.pasid());
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->ssdOps, 6u);
+    EXPECT_EQ(s.verifyTenantSums(), "");
+}
+
+TEST(Xrp, ChainObeysTheCallersQosCap)
+{
+    // The hops pass the caller's QoS gate: at 1000 IOPS with burst 1,
+    // six dependent reads throttle and take at least 5 ms.
+    sim::setVerbose(false);
+    sys::System s(smallConfig());
+    qos::Registry &reg = s.enableQos();
+    kern::Process &p = s.newProcess();
+    const int fd = s.kernel.setupCreateFile(p, "/idx", 8 << 20, 7);
+    qos::TenantLimit lim;
+    lim.iopsLimit = 1000;
+    lim.burstOps = 1;
+    reg.setLimit(p.pasid(), lim);
+
+    xrp::XrpEngine engine(s.kernel);
+    long long hops = -1;
+    const Time t0 = s.now();
+    engine.lookup(p, fd, xrp::Hop{0, 512}, sixHops,
+                  [&](long long n, kern::IoTrace) { hops = n; });
+    s.run();
+    EXPECT_EQ(hops, 6);
+    EXPECT_GT(reg.throttlesOf(p.pasid()), 0u);
+    EXPECT_GE(s.now() - t0, 5 * kMs);
 }
 
 // --- Determinism ---

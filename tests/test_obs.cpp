@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests of the observability subsystem (src/obs/): metrics registry
- * snapshot/merge/JSON, tracer recording semantics, span invariants on a
- * real traced BypassD run, and Chrome trace-event export round-trip
- * through the bundled JSON parser.
+ * snapshot/merge/JSON, tracer recording semantics (cached tracks,
+ * the kern::openRequest envelope), span invariants on a real traced
+ * BypassD run, and Chrome trace-event export round-trip through the
+ * bundled JSON parser.
  */
 
 #include <algorithm>
@@ -194,6 +195,76 @@ TEST(Tracer, LevelGatesVerbosity)
     EXPECT_TRUE(t.wants(obs::Level::Requests));
     EXPECT_FALSE(t.wants(obs::Level::Layers));
     EXPECT_FALSE(t.wants(obs::Level::Device));
+}
+
+TEST(Tracer, LiteralTracksInternEachNameOnce)
+{
+    // The literal-keyed caches return the same id as interning the
+    // built name, also for a copy of the literal at another address.
+    sim::EventQueue eq;
+    obs::Tracer t(eq, obs::Level::Requests);
+    const std::uint16_t q3 = t.track("nvme.q", 3);
+    EXPECT_EQ(t.data().tracks.at(q3), "nvme.q3");
+    EXPECT_EQ(t.track("nvme.q", 3), q3);
+    EXPECT_EQ(t.track(std::string("nvme.q3")), q3);
+    const char prefix[] = "nvme.q";
+    EXPECT_EQ(t.track(prefix, 3), q3);
+    EXPECT_NE(t.track("nvme.q", 4), q3);
+
+    const std::uint16_t fs = t.track("fs");
+    EXPECT_EQ(t.data().tracks.at(fs), "fs");
+    EXPECT_EQ(t.track("fs"), fs);
+    EXPECT_EQ(t.track(std::string("fs")), fs);
+    const char name[] = "fs";
+    EXPECT_EQ(t.track(name), fs);
+    EXPECT_EQ(t.data().tracks.size(), 4u); // misc, nvme.q3, nvme.q4, fs
+}
+
+TEST(Tracer, OpenRequestRecordsTheEnvelopeAtCompletion)
+{
+    sim::EventQueue eq;
+    obs::Tracer t(eq, obs::Level::Requests);
+    int calls = 0;
+    kern::IoCb cb = [&](long long, kern::IoTrace) { calls++; };
+
+    // Tracing off: no id, and the caller's callback stays as it is.
+    EXPECT_EQ(kern::openRequest(nullptr, 5, "x.read", "x.p", 1, cb), 0u);
+    cb(0, kern::IoTrace{});
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(t.spanCount(), 0u);
+
+    // Tracing on: the envelope spans submission to completion, on the
+    // numbered track, owned by the tenant, with the IoTrace breakdown.
+    eq.schedule(100, [&] {
+        const obs::TraceId id
+            = kern::openRequest(&t, 5, "x.read", "x.p", 1, cb);
+        EXPECT_NE(id, 0u);
+        EXPECT_EQ(t.tenantOf(id), 5u);
+        eq.schedule(350, [cb] {
+            kern::IoTrace tr;
+            tr.userNs = 50;
+            tr.kernelNs = 120;
+            tr.deviceNs = 80;
+            cb(4096, tr);
+        });
+    });
+    eq.run();
+    EXPECT_EQ(calls, 2);
+    ASSERT_EQ(t.spanCount(), 1u);
+    const obs::SpanRec &env = t.data().spans[0];
+    EXPECT_STREQ(env.name, "x.read");
+    EXPECT_EQ(t.data().tracks.at(env.track), "x.p1");
+    EXPECT_EQ(env.start, 100u);
+    EXPECT_EQ(env.end, 350u);
+    EXPECT_EQ(env.tenant, 5u);
+    std::map<std::string, std::int64_t> args;
+    for (unsigned i = 0; i < env.nargs; i++)
+        args[env.args[i].key] = env.args[i].value;
+    EXPECT_EQ(args.at("user_ns"), 50);
+    EXPECT_EQ(args.at("kernel_ns"), 120);
+    EXPECT_EQ(args.at("xlate_ns"), 0);
+    EXPECT_EQ(args.at("device_ns"), 80);
+    EXPECT_EQ(args.at("bytes"), 4096);
 }
 
 // ---------------------------------------------------------------------

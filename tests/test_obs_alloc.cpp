@@ -8,6 +8,7 @@
  * cannot interfere with the main test suite.
  */
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -161,35 +162,39 @@ TEST(ObsAlloc, TenantScopedCounterHandlesDoNotAllocateOnIncrement)
 
 TEST(ObsAlloc, QosAdmitPathAddsZeroAllocations)
 {
-    // The QoS gates follow the same null-pointer discipline: a null
-    // registry is one branch, and an enabled registry must admit
-    // unlimited tenants — absent, or present weight-only — without
-    // allocating. Only park() (the throttled slow path) may allocate.
+    // The QoS gate every engine calls, qos::admit, follows the same
+    // null-pointer discipline: a null registry is one branch, and an
+    // enabled registry must admit unlimited tenants — absent, or
+    // present weight-only — without allocating. The admitted closure
+    // runs in place, never type-erased: its 256 B capture would not
+    // fit an event callback's inline buffer. Only a parked closure
+    // (the throttled slow path) may allocate.
     sim::EventQueue eq;
     qos::Registry reg(eq);
     qos::TenantLimit lim;
     lim.weight = 4; // weight-only: shapes dispatch, never rate-limits
     reg.setLimit(7, lim);
     qos::Registry *volatile qosSlot = &reg;
+    qos::Registry *volatile offSlot = nullptr;
+    std::array<std::uint64_t, 32> payload{};
     std::uint64_t admitted = 0;
     std::uint32_t weightSum = 0;
+    auto submit = [&admitted, payload] { admitted += 1 + payload[0]; };
 
-    reg.tryAcquire(7, 1, 4096); // settle any lazy storage
+    qos::admit(qosSlot, 7, 1, 4096, submit); // settle any lazy storage
+    admitted = 0;
 
     const std::uint64_t before = g_allocCount.load();
     for (int i = 0; i < 100000; i++) {
-        if (qos::Registry *q = qosSlot) {
-            if (q->tryAcquire(7, 1, 4096))
-                admitted++;
-            if (q->tryAcquire(9, 1, 4096)) // unregistered tenant
-                admitted++;
-            weightSum += q->weightOf(7);
-        }
+        qos::admit(qosSlot, 7, 1, 4096, submit);
+        qos::admit(qosSlot, 9, 1, 4096, submit); // unregistered tenant
+        qos::admit(offSlot, 7, 1, 4096, submit); // QoS disabled
+        weightSum += qosSlot->weightOf(7);
     }
     const std::uint64_t after = g_allocCount.load();
 
     EXPECT_EQ(after - before, 0u)
         << "QoS admit path allocated on the hot path";
-    EXPECT_EQ(admitted, 200000u);
+    EXPECT_EQ(admitted, 300000u);
     EXPECT_EQ(weightSum, 400000u);
 }

@@ -2,13 +2,18 @@
  * @file
  * Per-tenant QoS tests: exact virtual-time token-bucket refill
  * (inspection-frequency invariance, burst clamp with remainder spill,
- * oversize borrow), park/drain FIFO order and pacing, weighted-fair SQ
- * arbitration under backlog, digest neutrality of an enabled-but-empty
- * registry, and the dispatcher cid regression (a refused submit must
- * not burn a command id).
+ * oversize borrow), park/drain FIFO order and pacing through the
+ * qos::admit gate, weighted-fair SQ arbitration under backlog, digest
+ * neutrality of an enabled-but-empty registry, throttle-and-drain at
+ * the kernel, BypassD and SPDK gates, the SPDK envelope under parking,
+ * and the dispatcher cid regression (a refused submit must not burn a
+ * command id).
  */
 
+#include <functional>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "obs/replay.hpp"
 #include "qos/qos.hpp"
 #include "sim/event_queue.hpp"
+#include "spdk/spdk.hpp"
 #include "ssd/block_store.hpp"
 #include "ssd/dispatcher.hpp"
 #include "ssd/nvme.hpp"
@@ -118,8 +124,9 @@ TEST(QosBucket, OversizeRequestBorrowsInsteadOfStalling)
 
 TEST(QosPark, DrainPreservesFifoOrderAndPaces)
 {
-    // 1000 ops/s, burst 1: one op per ms. Three parked submissions
-    // must resume in order at exactly 1, 2, 3 ms; a fourth submitted
+    // 1000 ops/s, burst 1: one op per ms. Through the qos::admit gate,
+    // the first submission runs in place; three more park and must
+    // resume in order at exactly 1, 2, 3 ms; a fourth submitted
     // mid-backlog must queue behind them (tryAcquire refuses while a
     // backlog exists, even if a token is momentarily available) and
     // drain at 4 ms.
@@ -131,14 +138,22 @@ TEST(QosPark, DrainPreservesFifoOrderAndPaces)
     reg.setLimit(1, lim);
 
     std::vector<std::pair<int, Time>> order;
-    EXPECT_TRUE(reg.tryAcquire(1, 1, 0)); // drains the full bucket
+    bool ranInPlace = false;
+    // The first submission drains the full bucket.
+    qos::admit(&reg, 1, 1, 0, [&] { ranInPlace = true; });
+    EXPECT_TRUE(ranInPlace);
     for (int i = 0; i < 3; i++) {
-        EXPECT_FALSE(reg.tryAcquire(1, 1, 0));
-        reg.park(1, 1, 0, [&, i] { order.push_back({i, eq.now()}); });
+        qos::admit(&reg, 1, 1, 0,
+                   [&, i] { order.push_back({i, eq.now()}); });
+        EXPECT_EQ(reg.parkedOf(1), static_cast<std::uint64_t>(i + 1));
     }
+    EXPECT_TRUE(order.empty()) << "an over-limit submission ran in place";
     eq.schedule(2'500'000, [&] {
-        EXPECT_FALSE(reg.tryAcquire(1, 1, 0)) << "overtook the backlog";
-        reg.park(1, 1, 0, [&] { order.push_back({3, eq.now()}); });
+        const std::uint64_t parked = reg.parkedOf(1);
+        const std::size_t ran = order.size();
+        qos::admit(&reg, 1, 1, 0, [&] { order.push_back({3, eq.now()}); });
+        EXPECT_EQ(order.size(), ran) << "overtook the backlog";
+        EXPECT_EQ(reg.parkedOf(1), parked + 1);
     });
     eq.run();
 
@@ -311,13 +326,24 @@ TEST(QosNeutrality, EnabledEmptyRegistryKeepsDigests)
     }
 }
 
-TEST(QosThrottle, KernelPathThrottlesAndDrainsWithoutLoss)
+namespace {
+
+/** The submission sites the throttle tests drive. */
+enum class Site { Kernel, Bypassd, Spdk };
+
+/**
+ * A tightly capped tenant (1000 IOPS, burst 1) submits five
+ * back-to-back 4 KiB reads through @p site's QoS gate: every read still
+ * completes (throttled I/O is delayed, never dropped), the throttle
+ * counters advance, nothing is left parked, the reads are paced over at
+ * least 4 ms, and the per-tenant accounting rows sum to the registry
+ * totals (verifyTenantSums covers the qos rows). The SPDK driver is
+ * also shut down while its reads are parked: parked I/O counts as
+ * pending, so the release must wait for it.
+ */
+void
+expectThrottledDrain(Site site)
 {
-    // A tightly capped tenant on the kernel syscall path: every read
-    // still completes (throttled I/O is delayed, never dropped), the
-    // throttle counters advance, and the per-tenant accounting rows
-    // sum to the registry totals (verifyTenantSums covers the qos
-    // rows).
     sim::setVerbose(false);
     sys::SystemConfig cfg;
     cfg.deviceBytes = 1ull << 30;
@@ -327,34 +353,63 @@ TEST(QosThrottle, KernelPathThrottlesAndDrainsWithoutLoss)
     qos::Registry &reg = s.enableQos();
 
     kern::Process &p = s.newProcess(6000, 6000);
-    int fd = -1;
-    s.kernel.sysOpen(p, "/capped.dat",
-                     fs::kOpenCreate | fs::kOpenRead | fs::kOpenWrite
-                         | fs::kOpenDirect,
-                     0644, [&](int f) { fd = f; });
-    s.run();
-    ASSERT_GE(fd, 0);
-    std::vector<std::uint8_t> buf(4096);
-    long long wrote = -1;
-    s.kernel.sysPwrite(p, fd, buf, 0,
-                       [&](long long n, kern::IoTrace) { wrote = n; });
-    s.run();
-    ASSERT_EQ(wrote, 4096);
+    const int kfd = s.kernel.setupCreateFile(p, "/capped.dat", 1 << 20, 7);
+    ASSERT_GE(kfd, 0);
 
-    // Cap AFTER the setup I/O: 1000 IOPS, burst 1 — back-to-back reads
-    // must park.
+    std::function<void(std::span<std::uint8_t>, kern::IoCb)> read;
+    std::unique_ptr<spdk::SpdkDriver> drv;
+    switch (site) {
+      case Site::Kernel:
+        read = [&](std::span<std::uint8_t> buf, kern::IoCb cb) {
+            s.kernel.sysPread(p, kfd, buf, 0, std::move(cb));
+        };
+        break;
+      case Site::Bypassd: {
+        int rc = -1;
+        s.kernel.sysClose(p, kfd, [&](int r) { rc = r; });
+        s.run();
+        ASSERT_EQ(rc, 0);
+        bypassd::UserLib &lib = s.userLib(p);
+        int fd = -1;
+        lib.open("/capped.dat", fs::kOpenRead | fs::kOpenDirect, 0644,
+                 [&](int f) { fd = f; });
+        s.run();
+        ASSERT_GE(fd, 0);
+        ASSERT_TRUE(lib.isDirect(fd));
+        read = [&lib, fd](std::span<std::uint8_t> buf, kern::IoCb cb) {
+            lib.pread(0, fd, buf, 0, std::move(cb));
+        };
+        break;
+      }
+      case Site::Spdk:
+        drv = std::make_unique<spdk::SpdkDriver>(
+            s.eq, s.dev, s.kernel.cpu(), p.pasid());
+        ASSERT_TRUE(drv->init());
+        read = [&](std::span<std::uint8_t> buf, kern::IoCb cb) {
+            drv->read(0, 512ull << 20, buf, std::move(cb));
+        };
+        break;
+    }
+
+    // Cap after the setup: back-to-back reads must park.
     qos::TenantLimit lim;
     lim.iopsLimit = 1000;
     lim.burstOps = 1;
     reg.setLimit(p.pasid(), lim);
 
+    std::vector<std::uint8_t> buf(4096);
     int done = 0;
     const Time start = s.now();
     for (int i = 0; i < 5; i++)
-        s.kernel.sysPread(p, fd, buf, 0, [&](long long n, kern::IoTrace) {
+        read(buf, [&](long long n, kern::IoTrace) {
             EXPECT_EQ(n, 4096);
             done++;
         });
+    if (drv) {
+        drv->shutdown();
+        EXPECT_TRUE(drv->initialized()) << "released with reads parked";
+        EXPECT_EQ(drv->pendingIos(), 5u);
+    }
     s.run();
 
     EXPECT_EQ(done, 5);
@@ -367,4 +422,72 @@ TEST(QosThrottle, KernelPathThrottlesAndDrainsWithoutLoss)
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->qosThrottles, reg.throttles());
     EXPECT_EQ(row->qosThrottledBytes, reg.throttledBytes());
+    if (drv) {
+        EXPECT_EQ(drv->pendingIos(), 0u);
+        EXPECT_FALSE(drv->initialized());
+    }
+}
+
+} // namespace
+
+TEST(QosThrottle, KernelPathThrottlesAndDrainsWithoutLoss)
+{
+    expectThrottledDrain(Site::Kernel);
+}
+
+TEST(QosThrottle, BypassdDirectPathThrottlesAndDrainsWithoutLoss)
+{
+    expectThrottledDrain(Site::Bypassd);
+}
+
+TEST(QosThrottle, SpdkThrottlesAndDrainsWithoutLoss)
+{
+    expectThrottledDrain(Site::Spdk);
+}
+
+TEST(QosThrottle, SpdkEnvelopeOpensAtSubmission)
+{
+    // Every engine's request envelope opens at submission, so a parked
+    // read's envelope span and the IoTrace handed to its caller cover
+    // the QoS park. Three reads under a 1000-IOPS, burst-1 cap: the
+    // later two wait about 1 and 2 ms at the gate.
+    sim::setVerbose(false);
+    sys::SystemConfig cfg;
+    cfg.deviceBytes = 1ull << 30;
+    sys::System s(cfg);
+    s.enableTracing(obs::Level::Requests);
+    qos::Registry &reg = s.enableQos();
+    kern::Process &p = s.newProcess();
+    qos::TenantLimit lim;
+    lim.iopsLimit = 1000;
+    lim.burstOps = 1;
+    reg.setLimit(p.pasid(), lim);
+    spdk::SpdkDriver drv(s.eq, s.dev, s.kernel.cpu(), p.pasid());
+    ASSERT_TRUE(drv.init());
+
+    std::vector<std::uint8_t> buf(4096);
+    std::vector<std::pair<Time, kern::IoTrace>> done;
+    const Time submitted = s.now();
+    for (int i = 0; i < 3; i++)
+        drv.read(0, (256ull + i) << 20, buf,
+                 [&](long long n, kern::IoTrace tr) {
+                     EXPECT_EQ(n, 4096);
+                     done.push_back({s.now(), tr});
+                 });
+    s.run();
+
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_EQ(reg.throttlesOf(p.pasid()), 2u);
+    EXPECT_GE(done[2].first - submitted, 2 * kMs);
+    for (const auto &[at, tr] : done)
+        EXPECT_EQ(tr.userNs + tr.deviceNs, at - submitted);
+    std::vector<const obs::SpanRec *> envelopes;
+    for (const obs::SpanRec &r : s.tracer()->data().spans)
+        if (std::string_view(r.name) == "spdk.read")
+            envelopes.push_back(&r);
+    ASSERT_EQ(envelopes.size(), 3u);
+    for (std::size_t i = 0; i < envelopes.size(); i++) {
+        EXPECT_EQ(envelopes[i]->start, submitted) << "envelope " << i;
+        EXPECT_EQ(envelopes[i]->end, done[i].first) << "envelope " << i;
+    }
 }
