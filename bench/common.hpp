@@ -14,8 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include <sys/resource.h>
-
 #include "obs/export.hpp"
 #include "obs/replay.hpp"
 #include "sim/logging.hpp"
@@ -227,89 +225,8 @@ struct ObsCapture
     std::unique_ptr<obs::StreamingTraceWriter> stream_;
 };
 
-/**
- * Minimal "bypassd-bench-v1" emitter for the figure benches (--out).
- * Each scenario is a flat object of raw JSON tokens — the same schema
- * perf_harness writes — so tools/perf_report can diff any two files,
- * including the per-tenant keys.
- */
-struct BenchJson
-{
-    struct Scenario
-    {
-        std::string name;
-        std::vector<std::pair<std::string, std::string>> fields;
-    };
-    std::vector<Scenario> scenarios;
-
-    Scenario &
-    add(const std::string &name)
-    {
-        scenarios.push_back({name, {}});
-        return scenarios.back();
-    }
-
-    static void
-    field(Scenario &sc, const std::string &k, std::uint64_t v)
-    {
-        sc.fields.emplace_back(
-            k, sim::strf("%llu", static_cast<unsigned long long>(v)));
-    }
-
-    static void
-    fieldF(Scenario &sc, const std::string &k, double v)
-    {
-        sc.fields.emplace_back(k, sim::strf("%.3f", v));
-    }
-
-    /** Quoted string field (e.g. a digest printed as hex). */
-    static void
-    fieldS(Scenario &sc, const std::string &k, const std::string &v)
-    {
-        sc.fields.emplace_back(k, "\"" + v + "\"");
-    }
-
-    bool
-    write(const std::string &path, const std::string &label,
-          bool quick = true, unsigned hostCpus = 0) const
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return false;
-        }
-        std::fprintf(f, "{\n  \"schema\": \"bypassd-bench-v1\",\n");
-        std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-        std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-        if (hostCpus)
-            std::fprintf(f, "  \"host_cpus\": %u,\n", hostCpus);
-        // Real peak RSS so perf_report's --max-rss-growth budget bites
-        // on the figure benches, not just on perf_harness.
-        std::uint64_t peakRss = 0;
-        struct rusage ru
-        {
-        };
-        if (getrusage(RUSAGE_SELF, &ru) == 0 && ru.ru_maxrss > 0)
-            peakRss = static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-        std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(peakRss));
-        std::fprintf(f, "  \"scenarios\": [\n");
-        for (std::size_t i = 0; i < scenarios.size(); i++) {
-            const Scenario &sc = scenarios[i];
-            std::fprintf(f, "    {\n      \"name\": \"%s\"",
-                         sc.name.c_str());
-            for (const auto &[k, v] : sc.fields)
-                std::fprintf(f, ",\n      \"%s\": %s", k.c_str(),
-                             v.c_str());
-            std::fprintf(f, "\n    }%s\n",
-                         i + 1 < scenarios.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", path.c_str());
-        return true;
-    }
-};
+/** The bench-v1 results document every bench's --out writes. */
+using BenchJson = obs::BenchJson;
 
 /**
  * Append tenant.<id>.{ssd_ops,iops,fmaps,revocations} fields from the

@@ -20,7 +20,7 @@
  * and a Perfetto-loadable trace / metrics JSON is written alongside.
  * Tracing is semantically transparent: the digests must stay
  * bit-identical with or without it (tools/perf_report enforces this in
- * CI). Per-scenario metric counters (IOTLB hit/miss, page walks,
+ * CI). Per-scenario metric counters (walk-cache hit/miss, page walks,
  * journal commits, ...) are embedded flat in each scenario object so
  * perf_report can diff them between runs.
  *
@@ -45,8 +45,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <sys/resource.h>
 
 #include "apps/wiredtiger.hpp"
 #include "bench/common.hpp"
@@ -475,14 +473,6 @@ runFleetFio(bool quick, unsigned shards, bench::ObsCapture &obs)
     return r;
 }
 
-std::uint64_t
-peakRssBytes()
-{
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024; // Linux: KiB
-}
-
 } // namespace
 
 int
@@ -551,7 +541,7 @@ main(int argc, char **argv)
                     (unsigned long long)r.digest);
     }
     std::printf("peak RSS: %.1f MB\n",
-                static_cast<double>(peakRssBytes()) / (1 << 20));
+                static_cast<double>(obs::peakRssBytes()) / (1 << 20));
     std::printf("shards: %u\n", shards);
     for (const auto &r : results) {
         if (!r.sharded)
@@ -563,76 +553,40 @@ main(int argc, char **argv)
     }
 
     if (!out.empty()) {
-        std::FILE *f = std::fopen(out.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", out.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"schema\": \"bypassd-bench-v1\",\n");
-        std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-        std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-        std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
-                     (unsigned long long)peakRssBytes());
-        // Shard speedup is bounded by physical parallelism; record the
-        // host's so scaling tables stay interpretable across machines.
-        std::fprintf(f, "  \"host_cpus\": %u,\n",
-                     std::thread::hardware_concurrency());
-        std::fprintf(f, "  \"scenarios\": [\n");
-        for (std::size_t i = 0; i < results.size(); i++) {
-            const auto &r = results[i];
-            std::fprintf(f, "    {\n");
-            std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-            std::fprintf(f, "      \"events\": %llu,\n",
-                         (unsigned long long)r.events);
-            std::fprintf(f, "      \"sim_ns\": %llu,\n",
-                         (unsigned long long)r.simNs);
-            std::fprintf(f, "      \"wall_sec\": %.6f,\n", r.wallSec);
-            std::fprintf(f, "      \"events_per_sec\": %.1f,\n",
-                         r.eventsPerSec());
-            std::fprintf(f, "      \"%s\": %.3f,\n", r.metricName.c_str(),
-                         r.metric);
-            std::fprintf(f, "      \"walk_cache_hits\": %llu,\n",
-                         (unsigned long long)r.counters.walkCacheHits);
-            std::fprintf(f, "      \"walk_cache_misses\": %llu,\n",
-                         (unsigned long long)r.counters.walkCacheMisses);
-            std::fprintf(f, "      \"page_walk_frames\": %llu,\n",
-                         (unsigned long long)r.counters.pageWalkFrames);
-            std::fprintf(f, "      \"journal_commits\": %llu,\n",
-                         (unsigned long long)r.counters.journalCommits);
-            std::fprintf(f, "      \"syscalls\": %llu,\n",
-                         (unsigned long long)r.counters.syscalls);
-            std::fprintf(f, "      \"vba_translations\": %llu,\n",
-                         (unsigned long long)r.counters.vbaTranslations);
-            std::fprintf(f, "      \"device_ops\": %llu,\n",
-                         (unsigned long long)r.counters.deviceOps);
-            std::fprintf(f, "      \"shards\": %u,\n", r.shards);
+        using J = bench::BenchJson;
+        J json;
+        for (const auto &r : results) {
+            J::Scenario &sc = json.add(r.name);
+            J::field(sc, "events", r.events);
+            J::field(sc, "sim_ns", r.simNs);
+            J::fieldF(sc, "wall_sec", r.wallSec, "%.6f");
+            J::fieldF(sc, "events_per_sec", r.eventsPerSec(), "%.1f");
+            J::fieldF(sc, r.metricName, r.metric);
+            J::field(sc, "walk_cache_hits", r.counters.walkCacheHits);
+            J::field(sc, "walk_cache_misses", r.counters.walkCacheMisses);
+            J::field(sc, "page_walk_frames", r.counters.pageWalkFrames);
+            J::field(sc, "journal_commits", r.counters.journalCommits);
+            J::field(sc, "syscalls", r.counters.syscalls);
+            J::field(sc, "vba_translations", r.counters.vbaTranslations);
+            J::field(sc, "device_ops", r.counters.deviceOps);
+            J::field(sc, "shards", r.shards);
             if (r.sharded) {
-                std::fprintf(f, "      \"domains\": %llu,\n",
-                             (unsigned long long)r.domains);
-                std::fprintf(f, "      \"lookahead_ns\": %llu,\n",
-                             (unsigned long long)r.lookaheadNs);
-                std::fprintf(f, "      \"windows\": %llu,\n",
-                             (unsigned long long)r.windows);
-                std::fprintf(f, "      \"messages\": %llu,\n",
-                             (unsigned long long)r.messages);
-                std::fprintf(f, "      \"barrier_stall_sec\": %.6f,\n",
-                             r.barrierStallSec);
-                for (std::size_t si = 0; si < r.shardEvents.size();
-                     si++)
-                    std::fprintf(f, "      \"shard_%zu_events\": "
-                                    "%llu,\n",
-                                 si,
-                                 (unsigned long long)r.shardEvents[si]);
+                J::field(sc, "domains", r.domains);
+                J::field(sc, "lookahead_ns", r.lookaheadNs);
+                J::field(sc, "windows", r.windows);
+                J::field(sc, "messages", r.messages);
+                J::fieldF(sc, "barrier_stall_sec", r.barrierStallSec,
+                          "%.6f");
+                for (std::size_t si = 0; si < r.shardEvents.size(); si++)
+                    J::field(sc, sim::strf("shard_%zu_events", si),
+                             r.shardEvents[si]);
             }
-            std::fprintf(f, "      \"digest\": \"%016llx\"\n",
-                         (unsigned long long)r.digest);
-            std::fprintf(f, "    }%s\n",
-                         i + 1 < results.size() ? "," : "");
+            J::fieldS(sc, "digest",
+                      sim::strf("%016llx", (unsigned long long)r.digest));
         }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", out.c_str());
+        if (!json.write(out, label, quick,
+                        std::thread::hardware_concurrency()))
+            return 1;
     }
     if (!obs.write())
         return 1;

@@ -323,7 +323,6 @@ UserLib::nonBlockingWrite(Tid tid, int fd,
     // staging area, so per-thread DMA buffers stay free for reads).
     auto issue = std::make_shared<std::function<void()>>();
     auto complete = [this, fd, pw, issue]() {
-        pw->devDone = true;
         FileInfo *fi2 = info(fd);
         if (fi2) {
             fi2->pendingWrites.erase(pw->off);
@@ -774,10 +773,9 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
             if (comp.status != ssd::Status::Success) {
                 handleFault(
                     fd,
-                    [this, fd, data, off, start, trace, finish]() {
+                    [this, fd, data, off, trace, finish]() {
                         // Retry whole RMW from scratch via the kernel
                         // path so serialization state stays sound.
-                        (void)start;
                         kernel_.sysPwrite(
                             proc_, fd,
                             std::span<const std::uint8_t>(data->data(),

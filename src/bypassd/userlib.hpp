@@ -133,7 +133,6 @@ class UserLib
         {
             std::uint64_t off;
             std::vector<std::uint8_t> data;
-            bool devDone = false;
             std::vector<std::function<void()>> waiters;
         };
         std::map<std::uint64_t, std::shared_ptr<PendingWrite>>

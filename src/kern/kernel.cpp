@@ -855,7 +855,6 @@ Kernel::sysFallocate(Process &p, int fd, std::uint64_t off,
     }
     TenantScope ts(*this, p.pasid()); // covers the synchronous extendTo
     fs::Inode *node = vfs_.fs().inode(of->ino);
-    const std::uint64_t oldEnd = node->extents.logicalEnd();
     std::vector<fs::Extent> added;
     fs::FsStatus st = vfs_.fs().extendTo(
         *node, std::max(node->size, off + len), &added);
@@ -863,7 +862,6 @@ Kernel::sysFallocate(Process &p, int fd, std::uint64_t off,
     std::uint64_t newBlocks = 0;
     for (const auto &e : added)
         newBlocks += e.count;
-    (void)oldEnd;
     const Time zeroCost = static_cast<Time>(
         static_cast<double>(newBlocks * kBlockBytes)
         / dev_.profile().writeBwBytesPerNs);

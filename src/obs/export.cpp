@@ -2,18 +2,17 @@
 
 #include <cinttypes>
 
+#include <sys/resource.h>
+
 namespace bpd::obs {
 
 namespace {
 
 void printEscaped(std::FILE *f, const char *s)
 {
-    for (; *s; ++s) {
-        char c = *s;
-        if (c == '"' || c == '\\')
-            std::fputc('\\', f);
-        std::fputc(c, f);
-    }
+    json::escape(s, [f](const char *p, std::size_t n) {
+        std::fwrite(p, 1, n, f);
+    });
 }
 
 /** ns → µs with 3 decimals, the native unit of the Chrome format. */
@@ -231,39 +230,61 @@ bool writeChromeTraceFile(const std::string &path,
     return ok;
 }
 
-void writeMetricsJson(std::FILE *f, const std::vector<MetricsRun> &runs)
-{
-    std::fputs("{\n  \"schema\": \"bypassd-metrics-v1\",\n  \"runs\": {",
-               f);
-    bool first = true;
-    for (const MetricsRun &run : runs) {
-        if (!first)
-            std::fputc(',', f);
-        first = false;
-        std::fputs("\n    \"", f);
-        printEscaped(f, run.name.c_str());
-        std::fputs("\": ", f);
-        // Re-indent the snapshot body under "runs".
-        const std::string body = run.snapshot.toJson("  ");
-        for (char c : body) {
-            std::fputc(c, f);
-            if (c == '\n')
-                std::fputs("    ", f);
-        }
-    }
-    std::fputs(first ? "}\n}\n" : "\n  }\n}\n", f);
-}
-
 bool writeMetricsFile(const std::string &path,
                       const std::vector<MetricsRun> &runs)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
+    json::Writer w;
+    w.beginObject();
+    w.key("schema").str("bypassd-metrics-v1");
+    w.key("runs").beginObject();
+    for (const MetricsRun &run : runs) {
+        w.key(run.name);
+        run.snapshot.toJson(w);
+    }
+    w.endObject();
+    w.endObject();
+    return json::writeFile(path, w.text());
+}
+
+std::uint64_t peakRssBytes()
+{
+    struct rusage ru = {};
+    if (getrusage(RUSAGE_SELF, &ru) != 0 || ru.ru_maxrss <= 0)
+        return 0;
+    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024; // Linux: KiB
+}
+
+bool BenchJson::write(const std::string &path, const std::string &label,
+                      bool quick, unsigned hostCpus) const
+{
+    json::Writer w;
+    w.beginObject();
+    w.key("schema").str("bypassd-bench-v1");
+    w.key("label").str(label);
+    w.key("quick").boolean(quick);
+    // Shard speedup is bounded by physical parallelism; record the
+    // host's so scaling tables stay interpretable across machines.
+    if (hostCpus)
+        w.key("host_cpus").uint(hostCpus);
+    // Real peak RSS, so perf_report's --max-rss-growth budget bites on
+    // every bench.
+    w.key("peak_rss_bytes").uint(peakRssBytes());
+    w.key("scenarios").beginArray();
+    for (const Scenario &sc : scenarios) {
+        w.beginObject();
+        w.key("name").str(sc.name);
+        for (const auto &[k, v] : sc.fields)
+            w.key(k).value(v);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+    if (!json::writeFile(path, w.text())) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return false;
-    writeMetricsJson(f, runs);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
 }
 
 StreamingTraceWriter::~StreamingTraceWriter()

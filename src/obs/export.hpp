@@ -1,7 +1,8 @@
 /**
  * @file
  * Exporters: Chrome trace-event JSON (loadable in Perfetto /
- * chrome://tracing) and a metrics JSON dump.
+ * chrome://tracing), a metrics JSON dump and the bench-v1 results
+ * document.
  *
  * Each TraceData becomes one Perfetto *process* (pid) so benches that
  * build one System per scenario/cell can merge all runs into a single
@@ -15,8 +16,10 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -60,12 +63,63 @@ void writeChromeTrace(std::FILE *f,
 bool writeChromeTraceFile(const std::string &path,
                           const std::vector<TraceProcess> &processes);
 
-/** Write {"schema": "bypassd-metrics-v1", "runs": {label: {...}}}. */
-void writeMetricsJson(std::FILE *f, const std::vector<MetricsRun> &runs);
-
-/** writeMetricsJson to @p path; returns false on I/O error. */
+/**
+ * Write {"schema": "bypassd-metrics-v1", "runs": {label: {...}}} to
+ * @p path; returns false on I/O error.
+ */
 bool writeMetricsFile(const std::string &path,
                       const std::vector<MetricsRun> &runs);
+
+/**
+ * A "bypassd-bench-v1" document, the schema of every bench's --out,
+ * perf_harness's and trace_replay's output, which tools/perf_report
+ * diffs. Each scenario is a flat object whose first key is "name".
+ */
+struct BenchJson
+{
+    struct Scenario
+    {
+        std::string name;
+        std::vector<std::pair<std::string, json::Value>> fields;
+    };
+    std::vector<Scenario> scenarios;
+
+    Scenario &add(const std::string &name)
+    {
+        scenarios.push_back({name, {}});
+        return scenarios.back();
+    }
+
+    static void field(Scenario &sc, const std::string &k, std::uint64_t v)
+    {
+        sc.fields.emplace_back(k, json::integer(v));
+    }
+
+    /** Double field printed with printf format @p fmt. */
+    static void fieldF(Scenario &sc, const std::string &k, double v,
+                       const char *fmt = "%.3f")
+    {
+        sc.fields.emplace_back(k, json::number(v, fmt));
+    }
+
+    /** String field (e.g. a digest printed as hex). */
+    static void fieldS(Scenario &sc, const std::string &k,
+                       const std::string &v)
+    {
+        sc.fields.emplace_back(k, json::string(v));
+    }
+
+    /**
+     * Write the document to @p path and name it on stdout: schema,
+     * @p label, @p quick, @p hostCpus (left out when 0), the process's
+     * peak RSS so far, then the scenarios. False on I/O error.
+     */
+    bool write(const std::string &path, const std::string &label,
+               bool quick = true, unsigned hostCpus = 0) const;
+};
+
+/** Peak resident set size of this process in bytes (0 if unknown). */
+std::uint64_t peakRssBytes();
 
 /**
  * Incremental Chrome-trace writer: spans stream to the output file as

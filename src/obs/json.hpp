@@ -1,21 +1,32 @@
 /**
  * @file
- * Minimal recursive-descent JSON parser, header-only. Just enough to
- * round-trip-validate the obs exporters (tools/trace_view,
- * tests/test_obs) without an external dependency. Numbers keep their
- * raw token alongside the double so 64-bit integers read back exactly
- * (asU64/asI64); \uXXXX escapes decode to UTF-8, surrogate pairs
- * included.
+ * The repo's one JSON module, header-only and without external
+ * dependencies: a recursive-descent parser and a writer. Every JSON
+ * document the benches, tools and exporters read or write goes through
+ * these two, except that the Chrome trace's rows are formatted by hand
+ * (obs/export.cpp) and only share escape().
+ *
+ * Parser: numbers keep their raw token alongside the double so 64-bit
+ * integers read back exactly (asU64/asI64); \uXXXX escapes decode to
+ * UTF-8, surrogate pairs included. Strings must follow RFC 8259: raw
+ * control characters and unknown escapes are errors.
+ *
+ * Writer: escaping, commas and indentation are handled; integers are
+ * exact, doubles use a caller-given printf format, and a parsed Value
+ * re-emits token for token.
  */
 
 #ifndef BPD_OBS_JSON_HPP
 #define BPD_OBS_JSON_HPP
 
-#include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace bpd::obs::json {
@@ -27,7 +38,7 @@ struct Value
     Type type = Type::Null;
     bool boolean = false;
     double number = 0.0;
-    std::string raw; //!< number token as it appeared in the input
+    std::string raw; //!< number token, parsed or from integer()/number()
     std::string str;
     std::vector<Value> arr;
     std::map<std::string, Value> obj;
@@ -73,6 +84,8 @@ struct Value
         auto it = obj.find(key);
         return it == obj.end() ? nullptr : &it->second;
     }
+
+    bool operator==(const Value &) const = default;
 };
 
 class Parser
@@ -211,8 +224,11 @@ class Parser
                 case 'r': out += '\r'; break;
                 case 'b': out += '\b'; break;
                 case 'f': out += '\f'; break;
+                case '"':
+                case '\\':
+                case '/': out += *p_; break;
                 case 'u': {
-                    unsigned cp;
+                    unsigned cp = 0;
                     if (!parseHex4(cp, err))
                         return false;
                     if (cp >= 0xD800 && cp <= 0xDBFF
@@ -223,7 +239,7 @@ class Parser
                         // rewind and let the loop handle it.
                         const char *save = p_;
                         p_ += 2;
-                        unsigned lo;
+                        unsigned lo = 0;
                         if (!parseHex4(lo, err))
                             return false;
                         if (lo >= 0xDC00 && lo <= 0xDFFF)
@@ -237,9 +253,11 @@ class Parser
                     appendUtf8(out, cp);
                     break;
                 }
-                default: out += *p_;
+                default: return fail(err, "bad escape");
                 }
                 ++p_;
+            } else if (static_cast<unsigned char>(*p_) < 0x20) {
+                return fail(err, "unescaped control character in string");
             } else {
                 out += *p_++;
             }
@@ -343,6 +361,215 @@ inline bool parse(const std::string &text, Value &out, std::string &err)
 {
     Parser p(text.data(), text.size());
     return p.parse(out, err);
+}
+
+/**
+ * Feed @p s to @p put(const char *, std::size_t) with the escapes RFC
+ * 8259 requires: quote, backslash and every control character below
+ * 0x20. Runs of plain bytes go out in one call.
+ */
+template <typename Put> void escape(std::string_view s, Put &&put)
+{
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        put(s.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+        case '"': put("\\\"", 2); break;
+        case '\\': put("\\\\", 2); break;
+        case '\n': put("\\n", 2); break;
+        case '\t': put("\\t", 2); break;
+        case '\r': put("\\r", 2); break;
+        case '\b': put("\\b", 2); break;
+        case '\f': put("\\f", 2); break;
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c));
+            put(buf, 6);
+        }
+        }
+    }
+    put(s.data() + run, s.size() - run);
+}
+
+/** Exact integer Value. */
+inline Value integer(std::uint64_t v)
+{
+    Value out;
+    out.type = Value::Type::Number;
+    out.number = static_cast<double>(v);
+    out.raw = std::to_string(v);
+    return out;
+}
+
+/**
+ * @p v printed with printf format @p fmt, as the parser would read that
+ * text back. JSON has no inf or nan, so a non-finite @p v is null.
+ */
+inline Value number(double v, const char *fmt)
+{
+    Value out;
+    if (!std::isfinite(v))
+        return out;
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    out.type = Value::Type::Number;
+    out.number = std::strtod(buf, nullptr);
+    out.raw = buf;
+    return out;
+}
+
+inline Value string(std::string s)
+{
+    Value out;
+    out.type = Value::Type::String;
+    out.str = std::move(s);
+    return out;
+}
+
+/**
+ * Builds one document in memory. Each container puts its members on
+ * lines of their own, indented two spaces per level, unless it is
+ * opened one-line; everything inside a one-line container stays on
+ * its line. Inside an object, key() precedes each value:
+ *
+ *   w.beginObject().key("hist").beginObject(true);
+ *   w.key("p50").uint(p50).endObject().endObject();
+ */
+class Writer
+{
+  public:
+    Writer &beginObject(bool oneLine = false) { return open('{', oneLine); }
+    Writer &endObject() { return close('}'); }
+    Writer &beginArray(bool oneLine = false) { return open('[', oneLine); }
+    Writer &endArray() { return close(']'); }
+
+    Writer &key(std::string_view k)
+    {
+        str(k);
+        out_ += ": ";
+        keyed_ = true;
+        return *this;
+    }
+
+    Writer &str(std::string_view s)
+    {
+        item();
+        out_ += '"';
+        escape(s, [this](const char *p, std::size_t n) {
+            out_.append(p, n);
+        });
+        out_ += '"';
+        return *this;
+    }
+
+    Writer &uint(std::uint64_t v) { return value(integer(v)); }
+    Writer &num(double v, const char *fmt) { return value(number(v, fmt)); }
+    Writer &boolean(bool b) { return token(b ? "true" : "false"); }
+
+    /** Write @p v token for token: numbers as their raw text. */
+    Writer &value(const Value &v)
+    {
+        switch (v.type) {
+        case Value::Type::Null: token("null"); break;
+        case Value::Type::Bool: boolean(v.boolean); break;
+        case Value::Type::Number: token(v.raw); break;
+        case Value::Type::String: str(v.str); break;
+        case Value::Type::Array:
+            beginArray();
+            for (const Value &e : v.arr)
+                value(e);
+            endArray();
+            break;
+        case Value::Type::Object:
+            beginObject();
+            for (const auto &[k, e] : v.obj)
+                key(k).value(e);
+            endObject();
+            break;
+        }
+        return *this;
+    }
+
+    /** The text so far; a whole document once the root has closed. */
+    const std::string &text() const { return out_; }
+
+  private:
+    struct Frame
+    {
+        bool oneLine;
+        bool empty;
+    };
+
+    Writer &token(std::string_view t)
+    {
+        item();
+        out_ += t;
+        return *this;
+    }
+
+    /** Separator and indentation ahead of a key or a value. */
+    void item()
+    {
+        if (keyed_) {
+            keyed_ = false;
+            return;
+        }
+        if (stack_.empty())
+            return;
+        Frame &f = stack_.back();
+        if (!f.empty)
+            out_ += f.oneLine ? ", " : ",";
+        if (!f.oneLine)
+            newline(stack_.size());
+        f.empty = false;
+    }
+
+    Writer &open(char c, bool oneLine)
+    {
+        item();
+        oneLine |= !stack_.empty() && stack_.back().oneLine;
+        stack_.push_back({oneLine, true});
+        out_ += c;
+        return *this;
+    }
+
+    Writer &close(char c)
+    {
+        const Frame f = stack_.back();
+        stack_.pop_back();
+        if (!f.empty && !f.oneLine)
+            newline(stack_.size());
+        out_ += c;
+        if (stack_.empty())
+            out_ += '\n';
+        return *this;
+    }
+
+    void newline(std::size_t depth)
+    {
+        out_ += '\n';
+        out_.append(2 * depth, ' ');
+    }
+
+    std::string out_;
+    std::vector<Frame> stack_;
+    bool keyed_ = false;
+};
+
+/** Write @p text to @p path; false on any I/O error. */
+inline bool writeFile(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
+        return false;
+    const bool ok
+        = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace bpd::obs::json

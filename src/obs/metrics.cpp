@@ -1,34 +1,8 @@
 #include "obs/metrics.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "obs/json.hpp"
 
 namespace bpd::obs {
-
-namespace {
-
-void appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-} // namespace
 
 void MetricsSnapshot::merge(const MetricsSnapshot &other)
 {
@@ -42,77 +16,49 @@ void MetricsSnapshot::merge(const MetricsSnapshot &other)
         tenants[id].merge(snap);
 }
 
-std::string MetricsSnapshot::toJson(const std::string &indent) const
+void MetricsSnapshot::toJson(json::Writer &w) const
 {
-    std::string out = "{\n";
-    const std::string in1 = indent;
-    const std::string in2 = indent + indent;
-    char buf[160];
+    w.beginObject();
+    w.key("counters").beginObject();
+    for (const auto &[k, v] : counters)
+        w.key(k).uint(v);
+    w.endObject();
 
-    out += in1 + "\"counters\": {";
-    bool first = true;
-    for (const auto &[k, v] : counters) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += in2 + "\"";
-        appendEscaped(out, k);
-        std::snprintf(buf, sizeof(buf), "\": %" PRIu64, v);
-        out += buf;
-    }
-    out += first ? "},\n" : "\n" + in1 + "},\n";
+    w.key("gauges").beginObject();
+    for (const auto &[k, v] : gauges)
+        w.key(k).num(v, "%.6g");
+    w.endObject();
 
-    out += in1 + "\"gauges\": {";
-    first = true;
-    for (const auto &[k, v] : gauges) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += in2 + "\"";
-        appendEscaped(out, k);
-        std::snprintf(buf, sizeof(buf), "\": %.6g", v);
-        out += buf;
-    }
-    out += first ? "},\n" : "\n" + in1 + "},\n";
-
-    out += in1 + "\"histograms\": {";
-    first = true;
+    w.key("histograms").beginObject();
     for (const auto &[k, h] : histograms) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += in2 + "\"";
-        appendEscaped(out, k);
-        out += "\": ";
-        std::snprintf(buf, sizeof(buf),
-                      "{\"count\": %" PRIu64 ", \"min\": %" PRIu64
-                      ", \"max\": %" PRIu64
-                      ", \"mean\": %.3f, \"p50\": %" PRIu64
-                      ", \"p99\": %" PRIu64 ", \"p999\": %" PRIu64 "}",
-                      h.count(), h.min(), h.max(), h.mean(), h.p50(),
-                      h.p99(), h.p999());
-        out += buf;
+        w.key(k).beginObject(true);
+        w.key("count").uint(h.count());
+        w.key("min").uint(h.min());
+        w.key("max").uint(h.max());
+        w.key("mean").num(h.mean(), "%.3f");
+        w.key("p50").uint(h.p50());
+        w.key("p99").uint(h.p99());
+        w.key("p999").uint(h.p999());
+        w.endObject();
     }
-    out += first ? "}" : "\n" + in1 + "}";
+    w.endObject();
 
     if (!tenants.empty()) {
-        out += ",\n" + in1 + "\"tenants\": {";
-        first = true;
+        w.key("tenants").beginObject();
         for (const auto &[id, snap] : tenants) {
-            out += first ? "\n" : ",\n";
-            first = false;
-            std::snprintf(buf, sizeof(buf), "\"%" PRIu64 "\": ", id);
-            out += in2 + buf;
-            // Re-indent the nested snapshot body under this key.
-            const std::string body = snap.toJson(indent);
-            for (char c : body) {
-                out += c;
-                if (c == '\n')
-                    out += in2;
-            }
+            w.key(std::to_string(id));
+            snap.toJson(w);
         }
-        out += first ? "}" : "\n" + in1 + "}";
+        w.endObject();
     }
+    w.endObject();
+}
 
-    out += "\n}";
-    return out;
+std::string MetricsSnapshot::toJson() const
+{
+    json::Writer w;
+    toJson(w);
+    return w.text();
 }
 
 std::string MetricsRegistry::key(const std::string &module,

@@ -23,6 +23,10 @@
 
 namespace bpd::obs {
 
+namespace json {
+class Writer;
+}
+
 /** Monotonic (or set-on-snapshot) integer metric. */
 class Counter
 {
@@ -67,9 +71,12 @@ struct MetricsSnapshot
     /** Sum counters, overwrite gauges, merge histograms (recursive). */
     void merge(const MetricsSnapshot &other);
 
-    /** Serialize as a JSON object (counters/gauges/histograms keys,
-     * plus a "tenants" object when any scoped snapshot exists). */
-    std::string toJson(const std::string &indent = "  ") const;
+    /** Write as a JSON object (counters/gauges/histograms keys, plus
+     * a "tenants" object when any scoped snapshot exists). */
+    void toJson(json::Writer &w) const;
+
+    /** The same object as a standalone document. */
+    std::string toJson() const;
 };
 
 class MetricsRegistry

@@ -3,16 +3,18 @@
  * Tests of the observability subsystem (src/obs/): metrics registry
  * snapshot/merge/JSON, tracer recording semantics (cached tracks,
  * the kern::openRequest envelope), span invariants on a real traced
- * BypassD run, and Chrome trace-event export round-trip through the
- * bundled JSON parser.
+ * BypassD run, Chrome trace-event export round-trip through the
+ * bundled JSON parser, the JSON writer and the bench-v1 document.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -635,4 +637,54 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(obs::json::parse("{\"a\": }", v, err));
     EXPECT_FALSE(obs::json::parse("tru", v, err));
     EXPECT_FALSE(obs::json::parse("{} trailing", v, err));
+    // RFC 8259: control characters inside strings must be escaped.
+    EXPECT_FALSE(obs::json::parse("\"a\tb\"", v, err));
+    EXPECT_FALSE(obs::json::parse("{\"k\": \"a\nb\"}", v, err));
+    EXPECT_FALSE(obs::json::parse(R"("\q")", v, err));
+}
+
+TEST(Json, WriterRoundTripsParsedDocument)
+{
+    const std::string doc
+        = R"({"a": [1, -2.5, 3e2, [], {}, [{"n": null, "t": true}]],)"
+          R"( "max": 18446744073709551615, "f": false,)"
+          R"( "s": "q\"b\\s\n\t\u0001\u00e9\/",)"
+          R"( "o": {"k": {"deep": [0.125, "x"]}, "": 0}})";
+    obs::json::Value v;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(doc, v, err)) << err;
+
+    obs::json::Writer w;
+    w.value(v);
+    obs::json::Value back;
+    ASSERT_TRUE(obs::json::parse(w.text(), back, err))
+        << err << "\n" << w.text();
+    EXPECT_TRUE(back == v) << w.text();
+    EXPECT_EQ(back.find("max")->asU64(), UINT64_MAX);
+    EXPECT_EQ(back.find("s")->str, "q\"b\\s\n\t\x01\xc3\xa9/");
+}
+
+TEST(BenchJson, EscapesLabelNameAndStringFields)
+{
+    const std::string nasty = "a \"quoted\" \\ and\nnewline";
+    obs::BenchJson bj;
+    obs::BenchJson::Scenario &sc = bj.add("name " + nasty);
+    obs::BenchJson::fieldS(sc, "s", "value " + nasty);
+    obs::BenchJson::field(sc, "n", UINT64_MAX);
+
+    const std::string path = ::testing::TempDir() + "bpd_bench_json.json";
+    ASSERT_TRUE(bj.write(path, "label " + nasty));
+    std::stringstream text;
+    text << std::ifstream(path).rdbuf();
+    std::remove(path.c_str());
+
+    obs::json::Value root;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(text.str(), root, err)) << err;
+    EXPECT_EQ(root.find("schema")->str, "bypassd-bench-v1");
+    EXPECT_EQ(root.find("label")->str, "label " + nasty);
+    const obs::json::Value &row = root.find("scenarios")->arr.at(0);
+    EXPECT_EQ(row.find("name")->str, "name " + nasty);
+    EXPECT_EQ(row.find("s")->str, "value " + nasty);
+    EXPECT_EQ(row.find("n")->asU64(), UINT64_MAX);
 }

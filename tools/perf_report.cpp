@@ -18,16 +18,16 @@
  * the parallel efficiency of the current run relative to the baseline.
  *
  * Also diffs the per-scenario simulated metric counters (events
- * executed, IOTLB hit rate, page walks, journal commits, ...) that
- * newer harness outputs embed in each scenario object; scenarios or
- * baselines without them show "-".
+ * executed, walk-cache hit rate, page walks, journal commits, ...)
+ * that newer harness outputs embed in each scenario object; scenarios
+ * or baselines without them show "-".
  *
  * Exit status is non-zero if any scenario present in both files has a
  * digest mismatch, so CI can gate on simulation-result identity.
  *
- * The parser below handles exactly the "bypassd-bench-v1" schema that
- * perf_harness emits (flat objects, string/number/bool scalars, one
- * "scenarios" array of flat objects) — it is not a general JSON parser.
+ * Inputs are read with the bundled obs::json parser and BENCH_PR.json
+ * is written with its writer, which re-emits both inputs token for
+ * token: string fields stay strings, numbers keep their exact text.
  */
 
 #include <algorithm>
@@ -40,119 +40,16 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace {
 
-struct Scenario
-{
-    std::string name;
-    std::map<std::string, std::string> fields; // raw scalar tokens
-};
+namespace json = bpd::obs::json;
+using json::Value;
 
-struct BenchFile
-{
-    std::map<std::string, std::string> fields; // top-level scalars
-    std::vector<Scenario> scenarios;
-};
-
-/** Tokenizing cursor over the JSON text. */
-struct Cursor
-{
-    const std::string &s;
-    std::size_t i = 0;
-
-    void
-    skipWs()
-    {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\n'
-                                || s[i] == '\t' || s[i] == '\r'))
-            i++;
-    }
-
-    bool
-    eat(char c)
-    {
-        skipWs();
-        if (i < s.size() && s[i] == c) {
-            i++;
-            return true;
-        }
-        return false;
-    }
-
-    [[noreturn]] void
-    fail(const char *what) const
-    {
-        std::fprintf(stderr, "perf_report: parse error near byte %zu: %s\n",
-                     i, what);
-        std::exit(2);
-    }
-
-    std::string
-    parseString()
-    {
-        skipWs();
-        if (i >= s.size() || s[i] != '"')
-            fail("expected string");
-        i++;
-        std::string out;
-        while (i < s.size() && s[i] != '"') {
-            if (s[i] == '\\' && i + 1 < s.size())
-                i++;
-            out += s[i++];
-        }
-        if (i >= s.size())
-            fail("unterminated string");
-        i++;
-        return out;
-    }
-
-    /** A number / true / false / null, returned as its raw token. */
-    std::string
-    parseScalarToken()
-    {
-        skipWs();
-        std::size_t start = i;
-        while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']'
-               && s[i] != '\n')
-            i++;
-        std::string t = s.substr(start, i - start);
-        while (!t.empty() && (t.back() == ' ' || t.back() == '\r'))
-            t.pop_back();
-        if (t.empty())
-            fail("expected scalar value");
-        return t;
-    }
-
-    /** Flat object: string keys mapping to scalars only. */
-    std::map<std::string, std::string>
-    parseFlatObject()
-    {
-        std::map<std::string, std::string> out;
-        if (!eat('{'))
-            fail("expected '{'");
-        skipWs();
-        if (eat('}'))
-            return out;
-        for (;;) {
-            const std::string key = parseString();
-            if (!eat(':'))
-                fail("expected ':'");
-            skipWs();
-            if (i < s.size() && s[i] == '"')
-                out[key] = parseString();
-            else
-                out[key] = parseScalarToken();
-            if (eat(','))
-                continue;
-            if (eat('}'))
-                return out;
-            fail("expected ',' or '}'");
-        }
-    }
-};
-
-BenchFile
-parseBenchFile(const std::string &path)
+/** Parse @p path as a bypassd-bench-v1 document; exits 2 on error. */
+Value
+loadBenchFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in) {
@@ -162,91 +59,75 @@ parseBenchFile(const std::string &path)
     }
     std::stringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
-
-    BenchFile bf;
-    Cursor c{text};
-    if (!c.eat('{'))
-        c.fail("expected top-level '{'");
-    for (;;) {
-        const std::string key = c.parseString();
-        if (!c.eat(':'))
-            c.fail("expected ':'");
-        if (key == "scenarios") {
-            if (!c.eat('['))
-                c.fail("expected '['");
-            c.skipWs();
-            if (!c.eat(']')) {
-                for (;;) {
-                    Scenario sc;
-                    sc.fields = c.parseFlatObject();
-                    sc.name = sc.fields.count("name")
-                                  ? sc.fields["name"]
-                                  : "?";
-                    bf.scenarios.push_back(std::move(sc));
-                    if (c.eat(','))
-                        continue;
-                    if (c.eat(']'))
-                        break;
-                    c.fail("expected ',' or ']'");
-                }
-            }
-        } else {
-            c.skipWs();
-            if (c.i < text.size() && text[c.i] == '"')
-                bf.fields[key] = c.parseString();
-            else
-                bf.fields[key] = c.parseScalarToken();
-        }
-        if (c.eat(','))
-            continue;
-        if (c.eat('}'))
-            break;
-        c.fail("expected ',' or '}'");
+    Value root;
+    std::string err;
+    if (!json::parse(buf.str(), root, err)) {
+        std::fprintf(stderr, "perf_report: %s: %s\n", path.c_str(),
+                     err.c_str());
+        std::exit(2);
     }
-    const auto it = bf.fields.find("schema");
-    if (it == bf.fields.end() || it->second != "bypassd-bench-v1") {
+    const Value *schema = root.find("schema");
+    if (!schema || schema->str != "bypassd-bench-v1") {
         std::fprintf(stderr,
                      "perf_report: %s: unsupported schema (want "
                      "bypassd-bench-v1)\n",
                      path.c_str());
         std::exit(2);
     }
-    return bf;
+    return root;
 }
 
-double
-numField(const Scenario &s, const char *key)
+/** The scenario objects of a loaded bench file. */
+const std::vector<Value> &
+scenarios(const Value &bf)
 {
-    const auto it = s.fields.find(key);
-    return it == s.fields.end() ? 0.0 : std::atof(it->second.c_str());
+    static const std::vector<Value> kNone;
+    const Value *scs = bf.find("scenarios");
+    return scs ? scs->arr : kNone;
+}
+
+/** A numeric field (0 when absent or not a number). */
+double
+numField(const Value &s, const char *key)
+{
+    const Value *v = s.find(key);
+    return v && v->isNumber() ? v->number : 0.0;
+}
+
+/** A scalar field as text: a string's value or a number's token. */
+std::string
+strField(const Value &s, const char *key)
+{
+    const Value *v = s.find(key);
+    if (!v)
+        return std::string();
+    return v->isString() ? v->str : v->raw;
+}
+
+bool
+hasField(const Value &s, const char *key)
+{
+    return s.find(key) != nullptr;
 }
 
 std::string
-strField(const Scenario &s, const char *key)
+nameOf(const Value &s)
 {
-    const auto it = s.fields.find(key);
-    return it == s.fields.end() ? std::string() : it->second;
+    return hasField(s, "name") ? strField(s, "name") : "?";
 }
 
-const Scenario *
-findScenario(const BenchFile &bf, const std::string &name)
+const Value *
+findScenario(const Value &bf, const std::string &name)
 {
-    for (const Scenario &s : bf.scenarios)
-        if (s.name == name)
+    for (const Value &s : scenarios(bf))
+        if (nameOf(s) == name)
             return &s;
     return nullptr;
 }
 
-bool
-hasField(const Scenario &s, const char *key)
-{
-    return s.fields.count(key) != 0;
-}
-
 /** One "base -> cur" cell of the counter diff table ("-" if absent). */
 std::string
-counterCell(const Scenario *s, const char *key)
+counterCell(const Value *s, const char *key)
 {
     if (!s || !hasField(*s, key))
         return "-";
@@ -288,19 +169,18 @@ isCounterKey(const std::string &k)
  * shards were fully converted into throughput.
  */
 void
-printShardScaling(const BenchFile &base, const BenchFile &cur)
+printShardScaling(const Value &base, const Value &cur)
 {
     // Efficiency is only meaningful when the host can actually run the
     // shards in parallel: with more shards than cores the threads
     // time-slice one another and eff% measures the scheduler, not the
     // executor. Flag those rows instead of printing a misleading number.
-    double cpus = 0;
-    if (cur.fields.count("host_cpus"))
-        cpus = std::atof(cur.fields.at("host_cpus").c_str());
+    const double cpus = numField(cur, "host_cpus");
     bool any = false;
     bool anyCoreLimited = false;
-    for (const Scenario &c : cur.scenarios) {
-        const Scenario *b = findScenario(base, c.name);
+    for (const Value &c : scenarios(cur)) {
+        const std::string name = nameOf(c);
+        const Value *b = findScenario(base, name);
         if (!b || !hasField(*b, "shards") || !hasField(c, "shards"))
             continue;
         const double bs = numField(*b, "shards");
@@ -321,12 +201,12 @@ printShardScaling(const BenchFile &base, const BenchFile &cur)
         anyCoreLimited |= coreLimited;
         if (coreLimited) {
             std::printf("  %-26s %6.0f %6.0f %12.0f %12.0f %7.2fx %8s\n",
-                        c.name.c_str(), bs, cs, be, ce, speedup,
+                        name.c_str(), bs, cs, be, ce, speedup,
                         "core-ltd");
         } else {
             const double eff = 100.0 * speedup / (cs / bs);
             std::printf("  %-26s %6.0f %6.0f %12.0f %12.0f %7.2fx %7.1f%%\n",
-                        c.name.c_str(), bs, cs, be, ce, speedup, eff);
+                        name.c_str(), bs, cs, be, ce, speedup, eff);
         }
     }
     if (any && cpus > 0) {
@@ -348,10 +228,10 @@ printShardScaling(const BenchFile &base, const BenchFile &cur)
  * not that the run raced.
  */
 void
-printReactorBreakdown(const BenchFile &cur)
+printReactorBreakdown(const Value &cur)
 {
     bool any = false;
-    for (const Scenario &c : cur.scenarios) {
+    for (const Value &c : scenarios(cur)) {
         if (!hasField(c, "reactors"))
             continue;
         const unsigned n = static_cast<unsigned>(numField(c, "reactors"));
@@ -360,7 +240,7 @@ printReactorBreakdown(const BenchFile &cur)
         if (!any)
             std::printf("\nper-reactor breakdown (current):\n");
         any = true;
-        std::printf("  %s\n", c.name.c_str());
+        std::printf("  %s\n", nameOf(c).c_str());
         std::printf("    %7s %10s %12s %14s\n", "reactor", "capsules",
                     "rdma_setups", "busy_ns");
         double busyMin = 0, busyMax = 0;
@@ -392,10 +272,10 @@ printReactorBreakdown(const BenchFile &cur)
  * means the tenant attribution leaked, not that the run raced.
  */
 void
-printDeviceBreakdown(const BenchFile &cur)
+printDeviceBreakdown(const Value &cur)
 {
     bool any = false;
-    for (const Scenario &c : cur.scenarios) {
+    for (const Value &c : scenarios(cur)) {
         if (!hasField(c, "devices"))
             continue;
         const unsigned n = static_cast<unsigned>(numField(c, "devices"));
@@ -404,7 +284,7 @@ printDeviceBreakdown(const BenchFile &cur)
         if (!any)
             std::printf("\nper-device breakdown (current):\n");
         any = true;
-        std::printf("  %s\n", c.name.c_str());
+        std::printf("  %s\n", nameOf(c).c_str());
         std::printf("    %4s %6s %10s %8s %10s %10s %10s %12s %9s\n",
                     "slot", "dev_id", "dev_ops", "writes", "p50_ns",
                     "p99_ns", "acct_ops", "acct_bytes", "bytes/op");
@@ -464,17 +344,18 @@ printDeviceBreakdown(const BenchFile &cur)
  * and annotates one-sided rows as added/removed.
  */
 void
-printCounterDiff(const BenchFile &base, const BenchFile &cur)
+printCounterDiff(const Value &base, const Value &cur)
 {
     bool any = false;
-    for (const Scenario &c : cur.scenarios) {
-        const Scenario *b = findScenario(base, c.name);
+    for (const Value &c : scenarios(cur)) {
+        const std::string name = nameOf(c);
+        const Value *b = findScenario(base, name);
         std::map<std::string, int> keys; // 1 = base, 2 = cur, 3 = both
         if (b)
-            for (const auto &[k, v] : b->fields)
+            for (const auto &[k, v] : b->obj)
                 if (isCounterKey(k))
                     keys[k] |= 1;
-        for (const auto &[k, v] : c.fields)
+        for (const auto &[k, v] : c.obj)
             if (isCounterKey(k))
                 keys[k] |= 2;
         if (keys.empty())
@@ -483,7 +364,7 @@ printCounterDiff(const BenchFile &base, const BenchFile &cur)
             std::printf("\nsimulated counters (base -> cur):\n");
         any = true;
 
-        std::printf("  %s\n", c.name.c_str());
+        std::printf("  %s\n", name.c_str());
         for (const auto &[k, side] : keys) {
             const std::string bs = counterCell(b, k.c_str());
             const std::string cs = counterCell(&c, k.c_str());
@@ -506,30 +387,6 @@ printCounterDiff(const BenchFile &base, const BenchFile &cur)
                             "walk_cache_hit_rate", "", 100.0 * h / (h + m));
         }
     }
-}
-
-/** Re-emit a flat scalar map as a JSON object body at an indent. */
-void
-emitObject(std::FILE *f, const std::map<std::string, std::string> &m,
-           const char *indent)
-{
-    bool first = true;
-    for (const auto &[k, v] : m) {
-        std::fprintf(f, "%s%s\"%s\": ", first ? "" : ",\n", indent,
-                     k.c_str());
-        // Strings were unquoted during parsing; numbers/bools kept raw.
-        const bool isRaw
-            = !v.empty()
-              && (v == "true" || v == "false" || v == "null"
-                  || v.find_first_not_of("-+.0123456789eE")
-                         == std::string::npos);
-        if (isRaw)
-            std::fprintf(f, "%s", v.c_str());
-        else
-            std::fprintf(f, "\"%s\"", v.c_str());
-        first = false;
-    }
-    std::fprintf(f, "\n");
 }
 
 } // namespace
@@ -561,8 +418,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const BenchFile base = parseBenchFile(inputs[0]);
-    const BenchFile cur = parseBenchFile(inputs[1]);
+    const Value base = loadBenchFile(inputs[0]);
+    const Value cur = loadBenchFile(inputs[1]);
 
     std::printf("%-26s %14s %14s %8s  %s\n", "scenario",
                 "base ev/s", "cur ev/s", "speedup", "digest");
@@ -574,12 +431,12 @@ main(int argc, char **argv)
         bool match;
     };
     std::vector<Row> rows;
-    for (const Scenario &c : cur.scenarios) {
-        const Scenario *b = findScenario(base, c.name);
+    for (const Value &c : scenarios(cur)) {
+        const std::string name = nameOf(c);
+        const Value *b = findScenario(base, name);
         if (!b) {
-            std::printf("%-26s %14s %14.1f %8s  (new)\n",
-                        c.name.c_str(), "-",
-                        numField(c, "events_per_sec"), "-");
+            std::printf("%-26s %14s %14.1f %8s  (new)\n", name.c_str(),
+                        "-", numField(c, "events_per_sec"), "-");
             continue;
         }
         const double be = numField(*b, "events_per_sec");
@@ -587,18 +444,12 @@ main(int argc, char **argv)
         const double speedup = be > 0 ? ce / be : 0.0;
         const bool match = strField(*b, "digest") == strField(c, "digest");
         digestMismatch |= !match;
-        rows.push_back(Row{c.name, speedup, match});
-        std::printf("%-26s %14.1f %14.1f %7.2fx  %s\n", c.name.c_str(),
-                    be, ce, speedup, match ? "match" : "MISMATCH");
+        rows.push_back(Row{name, speedup, match});
+        std::printf("%-26s %14.1f %14.1f %7.2fx  %s\n", name.c_str(), be,
+                    ce, speedup, match ? "match" : "MISMATCH");
     }
-    const double baseRss = std::atof(
-        base.fields.count("peak_rss_bytes")
-            ? base.fields.at("peak_rss_bytes").c_str()
-            : "0");
-    const double curRss = std::atof(
-        cur.fields.count("peak_rss_bytes")
-            ? cur.fields.at("peak_rss_bytes").c_str()
-            : "0");
+    const double baseRss = numField(base, "peak_rss_bytes");
+    const double curRss = numField(cur, "peak_rss_bytes");
     std::printf("peak RSS: %.1f MiB -> %.1f MiB\n",
                 baseRss / (1 << 20), curRss / (1 << 20));
     bool rssViolation = false;
@@ -621,42 +472,27 @@ main(int argc, char **argv)
                              "RSS grew past --max-rss-growth\n");
 
     if (!outPath.empty()) {
-        std::FILE *f = std::fopen(outPath.c_str(), "w");
-        if (!f) {
+        json::Writer w;
+        w.beginObject();
+        w.key("schema").str("bypassd-bench-report-v1");
+        w.key("digest_match").boolean(!digestMismatch);
+        w.key("comparison").beginArray();
+        for (const Row &r : rows) {
+            w.beginObject(true);
+            w.key("name").str(r.name);
+            w.key("speedup").num(r.speedup, "%.3f");
+            w.key("digest_match").boolean(r.match);
+            w.endObject();
+        }
+        w.endArray();
+        w.key("baseline").value(base);
+        w.key("current").value(cur);
+        w.endObject();
+        if (!json::writeFile(outPath, w.text())) {
             std::fprintf(stderr, "perf_report: cannot write %s\n",
                          outPath.c_str());
             return 2;
         }
-        std::fprintf(f, "{\n  \"schema\": \"bypassd-bench-report-v1\",\n");
-        std::fprintf(f, "  \"digest_match\": %s,\n",
-                     digestMismatch ? "false" : "true");
-        std::fprintf(f, "  \"comparison\": [\n");
-        for (std::size_t i = 0; i < rows.size(); i++)
-            std::fprintf(f,
-                         "    {\"name\": \"%s\", \"speedup\": %.3f, "
-                         "\"digest_match\": %s}%s\n",
-                         rows[i].name.c_str(), rows[i].speedup,
-                         rows[i].match ? "true" : "false",
-                         i + 1 < rows.size() ? "," : "");
-        std::fprintf(f, "  ],\n");
-
-        auto emitRun = [&](const char *key, const BenchFile &bf) {
-            std::fprintf(f, "  \"%s\": {\n", key);
-            emitObject(f, bf.fields, "    ");
-            std::fprintf(f, "    ,\"scenarios\": [\n");
-            for (std::size_t i = 0; i < bf.scenarios.size(); i++) {
-                std::fprintf(f, "      {\n");
-                emitObject(f, bf.scenarios[i].fields, "        ");
-                std::fprintf(f, "      }%s\n",
-                             i + 1 < bf.scenarios.size() ? "," : "");
-            }
-            std::fprintf(f, "    ]\n  }");
-        };
-        emitRun("baseline", base);
-        std::fprintf(f, ",\n");
-        emitRun("current", cur);
-        std::fprintf(f, "\n}\n");
-        std::fclose(f);
         std::printf("wrote %s\n", outPath.c_str());
     }
     return (digestMismatch || rssViolation) ? 1 : 0;

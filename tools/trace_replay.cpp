@@ -86,56 +86,27 @@ parseEngine(const std::string &name, int &out)
     return false;
 }
 
-/** One output row: either recorded metadata or a replay result. */
-struct Row
+/**
+ * The bench-v1 fields a capture row and a replay row share. A capture
+ * records no wall time, so its row passes simulated seconds instead,
+ * which keeps events_per_sec a sane magnitude.
+ */
+void
+rowFields(obs::BenchJson::Scenario &sc, std::uint64_t events, Time simNs,
+          double wallSec, double ops, std::uint64_t digest,
+          const std::vector<std::pair<std::string, std::uint64_t>> &counters)
 {
-    std::string name;
-    std::uint64_t events = 0;
-    Time simNs = 0;
-    double wallSec = 0;
-    double metric = 0; //!< replayed data ops
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::uint64_t digest = 0;
-};
-
-bool
-writeBenchJson(const std::string &path, const std::string &label,
-               const std::vector<Row> &rows)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr, "trace_replay: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n  \"schema\": \"bypassd-bench-v1\",\n");
-    std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-    std::fprintf(f, "  \"quick\": true,\n");
-    std::fprintf(f, "  \"peak_rss_bytes\": 0,\n");
-    std::fprintf(f, "  \"scenarios\": [\n");
-    for (std::size_t i = 0; i < rows.size(); i++) {
-        const Row &r = rows[i];
-        const double wall = r.wallSec > 0 ? r.wallSec : 1e-9;
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-        std::fprintf(f, "      \"events\": %" PRIu64 ",\n", r.events);
-        std::fprintf(f, "      \"sim_ns\": %" PRIu64 ",\n",
-                     (std::uint64_t)r.simNs);
-        std::fprintf(f, "      \"wall_sec\": %.6f,\n", r.wallSec);
-        std::fprintf(f, "      \"events_per_sec\": %.1f,\n",
-                     (double)r.events / wall);
-        std::fprintf(f, "      \"replay_ops\": %.3f,\n", r.metric);
-        for (const auto &[k, v] : r.counters)
-            std::fprintf(f, "      \"%s\": %" PRIu64 ",\n", k.c_str(),
-                         v);
-        std::fprintf(f, "      \"digest\": \"%016" PRIx64 "\"\n",
-                     r.digest);
-        std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    using J = obs::BenchJson;
+    J::field(sc, "events", events);
+    J::field(sc, "sim_ns", simNs);
+    J::fieldF(sc, "wall_sec", wallSec, "%.6f");
+    J::fieldF(sc, "events_per_sec",
+              static_cast<double>(events) / (wallSec > 0 ? wallSec : 1e-9),
+              "%.1f");
+    J::fieldF(sc, "replay_ops", ops);
+    for (const auto &[k, v] : counters)
+        J::field(sc, k, v);
+    J::fieldS(sc, "digest", sim::strf("%016" PRIx64, digest));
 }
 
 void
@@ -250,7 +221,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::vector<Row> captureRows, replayRows;
+    obs::BenchJson captureJson, replayJson;
     bool anyRun = false, mismatch = false;
     unsigned skippedPartial = 0;
     for (const auto &p : trace.processes) {
@@ -274,21 +245,15 @@ main(int argc, char **argv)
         anyRun = true;
 
         if (p.hasMeta) {
-            Row cr;
-            cr.name = p.name;
-            cr.events = p.events;
-            cr.simNs = p.simNs;
-            // No wall time is recorded at capture; use simulated
-            // seconds so events_per_sec stays a sane magnitude.
-            cr.wallSec = static_cast<double>(p.simNs) * 1e-9;
-            cr.counters = p.counters;
-            cr.digest = p.digest;
+            double dataOps = 0;
             for (const auto &r : p.ops)
                 if (r.op == obs::ReplayRec::Read
                     || r.op == obs::ReplayRec::Write
                     || r.op == obs::ReplayRec::Fsync)
-                    cr.metric++;
-            captureRows.push_back(std::move(cr));
+                    dataOps++;
+            rowFields(captureJson.add(p.name), p.events, p.simNs,
+                      static_cast<double>(p.simNs) * 1e-9, dataOps,
+                      p.digest, p.counters);
         }
         if (verify && !p.hasMeta) {
             std::fprintf(stderr,
@@ -311,14 +276,10 @@ main(int argc, char **argv)
                   std::chrono::steady_clock::now() - t0)
                   .count();
 
-        Row rr;
-        rr.name = p.name;
-        rr.events = res.events;
-        rr.simNs = res.simNs;
-        rr.wallSec = wall;
-        rr.metric = static_cast<double>(res.ops);
-        rr.counters = res.counters;
-        rr.digest = res.digest;
+        using J = obs::BenchJson;
+        J::Scenario &rs = replayJson.add(p.name);
+        rowFields(rs, res.events, res.simNs, wall,
+                  static_cast<double>(res.ops), res.digest, res.counters);
 
         // Mapping table and per-lane drift ride along as flat counter
         // keys: perf_report's union-of-keys diff annotates them as
@@ -328,16 +289,15 @@ main(int argc, char **argv)
             std::uint64_t totalBytes = 0;
             for (const auto &e : res.regionMap)
                 totalBytes += e.bytes;
-            rr.counters.emplace_back("map.regions",
-                                     res.regionMap.size());
-            rr.counters.emplace_back("map.bytes", totalBytes);
+            J::field(rs, "map.regions", res.regionMap.size());
+            J::field(rs, "map.bytes", totalBytes);
             for (std::size_t j = 0; j < res.regionMap.size(); j++) {
                 const auto &e = res.regionMap[j];
                 const std::string pre
                     = "map.r" + std::to_string(j) + ".";
-                rr.counters.emplace_back(pre + "base", e.base);
-                rr.counters.emplace_back(pre + "bytes", e.bytes);
-                rr.counters.emplace_back(pre + "ops", e.ops);
+                J::field(rs, pre + "base", e.base);
+                J::field(rs, pre + "bytes", e.bytes);
+                J::field(rs, pre + "ops", e.ops);
             }
         }
         for (const auto &d : res.laneDrift) {
@@ -347,13 +307,10 @@ main(int argc, char **argv)
                       : "l" + std::to_string(d.lane);
             const std::string pre = "drift.p" + std::to_string(d.proc)
                                     + "." + lane + ".";
-            rr.counters.emplace_back(
-                pre + "mean_ns",
-                static_cast<std::uint64_t>(d.meanAbsNs + 0.5));
-            rr.counters.emplace_back(pre + "max_ns",
-                                     (std::uint64_t)d.maxAbsNs);
+            J::field(rs, pre + "mean_ns",
+                     static_cast<std::uint64_t>(d.meanAbsNs + 0.5));
+            J::field(rs, pre + "max_ns", (std::uint64_t)d.maxAbsNs);
         }
-        replayRows.push_back(std::move(rr));
 
         std::printf("%-28s ops=%-8" PRIu64 " sim_ns=%-12" PRIu64
                     " events=%-9" PRIu64 " digest=%016" PRIx64 "\n",
@@ -427,17 +384,16 @@ main(int argc, char **argv)
         return 1;
     }
     if (!capturePath.empty()) {
-        if (captureRows.empty()) {
+        if (captureJson.scenarios.empty()) {
             std::fprintf(stderr,
                          "trace_replay: --emit-capture needs capture "
                          "metadata in the trace\n");
             return 1;
         }
-        if (!writeBenchJson(capturePath, "capture", captureRows))
+        if (!captureJson.write(capturePath, "capture"))
             return 2;
     }
-    if (!outPath.empty()
-        && !writeBenchJson(outPath, "replay", replayRows))
+    if (!outPath.empty() && !replayJson.write(outPath, "replay"))
         return 2;
     return mismatch ? 1 : 0;
 }
