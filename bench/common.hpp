@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -74,10 +75,10 @@ runFio(const wl::FioJob &job, sys::SystemConfig cfg = {})
 
 /**
  * Shared --trace/--metrics plumbing for the bench binaries. Each traced
- * run (a System lifetime) is captured as one Perfetto process; all
- * captures merge into a single trace file and one metrics document.
- * --trace-stream writes the same file format incrementally through
- * obs::StreamingTraceWriter, so span storage never accumulates in RSS.
+ * run (a System lifetime) gets a span sink of its own at attach() and
+ * becomes one Perfetto process of the trace file at capture(); spans
+ * spill to disk rather than accumulate in RSS, and without --trace
+ * they are dropped. All runs merge into one metrics document.
  *
  * Any capture also turns on per-tenant attribution: tenant accounting
  * only observes the simulation (digests are unchanged), and enabling it
@@ -87,29 +88,19 @@ runFio(const wl::FioJob &job, sys::SystemConfig cfg = {})
 struct ObsCapture
 {
     std::string tracePath;
-    std::string streamPath;
     std::string metricsPath;
     obs::Level level = obs::Level::Device;
-
-    struct Capture
-    {
-        std::string label;
-        obs::TraceData data;
-        obs::ReplayMeta meta;
-    };
-    std::vector<Capture> traces;
     std::vector<obs::MetricsRun> runs;
 
     bool enabled() const
     {
-        return !tracePath.empty() || !streamPath.empty()
-               || !metricsPath.empty();
+        return !tracePath.empty() || !metricsPath.empty();
     }
 
     /**
-     * Consume "--trace FILE", "--trace-stream FILE", "--metrics FILE"
-     * or "--trace-level N" at argv[i]. Returns how many argv slots
-     * were consumed (0 when the argument is not one of ours).
+     * Consume "--trace FILE", "--metrics FILE" or "--trace-level N" at
+     * argv[i]. Returns how many argv slots were consumed (0 when the
+     * argument is not one of ours).
      */
     int
     parseArg(int argc, char **argv, int i)
@@ -117,10 +108,6 @@ struct ObsCapture
         const std::string a = argv[i];
         if (a == "--trace" && i + 1 < argc) {
             tracePath = argv[i + 1];
-            return 2;
-        }
-        if (a == "--trace-stream" && i + 1 < argc) {
-            streamPath = argv[i + 1];
             return 2;
         }
         if (a == "--metrics" && i + 1 < argc) {
@@ -137,80 +124,69 @@ struct ObsCapture
         return 0;
     }
 
-    /**
-     * Enable tracing + tenant accounting on @p s when capture was
-     * requested. @p label names the streamed Perfetto process; it
-     * should match the label later passed to capture().
-     */
+    /** Enable tracing and tenant accounting on @p s when capture was
+     *  requested. */
     void
-    attach(sys::System &s, const std::string &label = "run")
+    attach(sys::System &s)
     {
         if (!enabled())
             return;
-        obs::Tracer &t = s.enableTracing(level);
+        attach(s.enableTracing(level));
         s.enableTenantAccounting();
-        if (!streamPath.empty()) {
-            if (!stream_) {
-                stream_ = std::make_unique<obs::StreamingTraceWriter>();
-                sim::panicIf(!stream_->open(streamPath),
-                             "cannot open --trace-stream file");
-            }
-            stream_->beginProcess(label);
-            t.setStream(stream_.get());
-        }
     }
 
-    /** Snapshot @p s's trace and metrics under the run label. */
+    /** Give @p t (a System's or a standalone one) its span sink. */
+    void
+    attach(obs::Tracer &t)
+    {
+        if (!enabled())
+            return;
+        std::unique_ptr<obs::SpanSpill> &sink = sinks_[&t];
+        sink = writer().sink();
+        t.setStream(sink.get());
+    }
+
+    /** Append @p s's trace and snapshot its metrics under @p label. */
     void
     capture(const std::string &label, sys::System &s)
     {
         if (!enabled())
             return;
         s.collectMetrics();
-        if (s.tracer()) {
+        if (obs::Tracer *t = s.tracer()) {
             obs::ReplayMeta meta;
             meta.config = obs::configToMap(s.cfg);
             meta.counters = obs::curatedCounters(s);
-            meta.digest = obs::replayDigest(s.tracer()->data().replay);
-            meta.events = s.eq.executed();
-            meta.simNs = s.now();
-            if (stream_) {
-                s.tracer()->setStream(nullptr);
-                stream_->endProcess(s.tracer()->data(), &meta);
-            }
-            if (!tracePath.empty()) {
-                Capture c;
-                c.label = label;
-                c.data = s.tracer()->data();
-                c.meta = std::move(meta);
-                traces.push_back(std::move(c));
-            }
+            append(label, *t, s.eq, meta);
         }
         runs.push_back(obs::MetricsRun{label, s.metrics.snapshot()});
     }
 
-    /** Write the requested output files; false on I/O error. */
+    /** capture() for a standalone tracer over @p eq whose metrics are
+     *  in @p reg. */
+    void
+    capture(const std::string &label, obs::Tracer &t,
+            const sim::EventQueue &eq, const obs::MetricsRegistry &reg)
+    {
+        if (!enabled())
+            return;
+        append(label, t, eq, obs::ReplayMeta{});
+        runs.push_back(obs::MetricsRun{label, reg.snapshot()});
+    }
+
+    /** Finish the requested output files; false on I/O error. */
     bool
     write()
     {
         bool ok = true;
         if (!tracePath.empty()) {
-            std::vector<obs::TraceProcess> procs;
-            procs.reserve(traces.size());
-            for (const auto &c : traces)
-                procs.push_back(
-                    obs::TraceProcess{c.label, &c.data, &c.meta});
-            if (obs::writeChromeTraceFile(tracePath, procs))
+            if (writer().close()) {
                 std::printf("wrote %s\n", tracePath.c_str());
-            else
+            } else {
+                std::fprintf(stderr, "cannot write %s\n",
+                             tracePath.c_str());
                 ok = false;
-        }
-        if (stream_) {
-            if (stream_->close())
-                std::printf("wrote %s\n", streamPath.c_str());
-            else
-                ok = false;
-            stream_.reset();
+            }
         }
         if (!metricsPath.empty()) {
             if (obs::writeMetricsFile(metricsPath, runs))
@@ -222,7 +198,36 @@ struct ObsCapture
     }
 
   private:
-    std::unique_ptr<obs::StreamingTraceWriter> stream_;
+    /** The trace writer, opened on first use when --trace was given. */
+    obs::TraceWriter &
+    writer()
+    {
+        if (!tracePath.empty() && !opened_) {
+            opened_ = true;
+            writer_.open(tracePath);
+        }
+        return writer_;
+    }
+
+    /** Detach @p t's sink and append the run as one process. */
+    void
+    append(const std::string &label, obs::Tracer &t,
+           const sim::EventQueue &eq, obs::ReplayMeta meta)
+    {
+        meta.digest = obs::replayDigest(t.data().replay);
+        meta.events = eq.executed();
+        meta.simNs = eq.now();
+        t.setStream(nullptr);
+        auto it = sinks_.find(&t);
+        writer().append(label, t.data(), &meta,
+                        it == sinks_.end() ? nullptr : it->second.get());
+        if (it != sinks_.end())
+            sinks_.erase(it);
+    }
+
+    obs::TraceWriter writer_;
+    bool opened_ = false;
+    std::map<const obs::Tracer *, std::unique_ptr<obs::SpanSpill>> sinks_;
 };
 
 /** The bench-v1 results document every bench's --out writes. */
@@ -269,7 +274,7 @@ runFio(const wl::FioJob &job, sys::SystemConfig cfg, ObsCapture &obs,
     if (cfg.deviceBytes == (sys::SystemConfig{}).deviceBytes)
         cfg.deviceBytes = 64ull << 30;
     sys::System s(cfg);
-    obs.attach(s, label);
+    obs.attach(s);
     // Attribution is digest-neutral and fills FioResult::tenants, and
     // every captured bench run doubles as a sum-invariant check.
     s.enableTenantAccounting();

@@ -20,10 +20,8 @@
  *    SPDK mean + FabricProfile::modeledOverheadNs within
  *    max(1 us, 5%). Exit 1 on violation.
  *
- * Output: bypassd-bench-v1 JSON (--out), perf_report-diffable. The
- * fleet scenarios capture traces per system in retained mode;
- * --trace-stream is refused (the streaming writer is single-threaded,
- * DESIGN.md §12).
+ * Output: bypassd-bench-v1 JSON (--out), perf_report-diffable. Under
+ * --trace, fabric_fio_8x1 captures each machine as its own process.
  *
  * Usage: fabric_fio [--quick] [--shards N] [--label NAME] [--out FILE]
  *                   [--trace FILE] [--metrics FILE] [--trace-level N]
@@ -79,7 +77,7 @@ runFabricFio(bool quick, unsigned shards, bench::BenchJson &json,
 
     sys::System &target = fleet.target();
     target.enableTenantAccounting();
-    obs.attach(target, std::string(name) + "/target");
+    obs.attach(target);
 
     fab::FabricProfile prof;
     fab::FabricTarget tgt(target, prof);
@@ -94,7 +92,7 @@ runFabricFio(bool quick, unsigned shards, bench::BenchJson &json,
     const Time runtime = (quick ? 10 : 80) * kMs;
     for (unsigned c = 1; c <= kClients; c++) {
         sys::System &client = fleet.system(c);
-        obs.attach(client, sim::strf("%s/client%u", name, c));
+        obs.attach(client);
         inis.push_back(
             std::make_unique<fab::FabricInitiator>(client, tgt));
         inis.back()->bind(fleet.executor(), fleet.domainOf(c));
@@ -500,14 +498,6 @@ main(int argc, char **argv)
                          "[--metrics FILE] [--trace-level N]\n");
             return 2;
         }
-    }
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "fabric_fio: --trace-stream is not supported: the "
-                     "streaming writer is single-threaded and fabric "
-                     "scenarios trace several machines in parallel. Use "
-                     "--trace (retained per-system capture) instead.\n");
-        return 2;
     }
 
     bench::banner("fabric_fio",

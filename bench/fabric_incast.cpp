@@ -32,8 +32,7 @@
  *    product config, so it exits non-zero — CI asserts both exits.
  *
  * Output: bypassd-bench-v1 JSON (--out), perf_report-diffable; the
- * per-cell digests gate at 1/2/4 shards in CI. --trace-stream is
- * refused like fabric_fio (single-threaded streaming writer).
+ * per-cell digests gate at 1/2/4 shards in CI.
  *
  * Usage: fabric_incast [--quick] [--shards N] [--no-admission]
  *                      [--label NAME] [--out FILE] [--trace FILE]
@@ -698,13 +697,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "fabric_incast: --trace-stream is not supported "
-                     "(single-threaded streaming writer vs parallel "
-                     "fleet tracing); use --trace instead.\n");
-        return 2;
-    }
 
     sim::setVerbose(false);
     const Geometry g = geometry(quick);
@@ -717,7 +709,7 @@ main(int argc, char **argv)
     fc.seed = 19;
     sys::Fleet fleet(fc);
     fleet.target().enableTenantAccounting();
-    obs.attach(fleet.target(), "fabric_incast/target");
+    obs.attach(fleet.target());
 
     BenchJson json;
     runIncastScaling(fleet, g, json);

@@ -28,8 +28,8 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: fig10_shared_writers [--out FILE] "
-                         "[--trace FILE] [--trace-stream FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
+                         "[--trace FILE] [--metrics FILE] "
+                         "[--trace-level N]\n");
             return 2;
         }
     }

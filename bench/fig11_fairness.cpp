@@ -74,7 +74,7 @@ foregroundLatency(Engine fgEngine, unsigned backgroundReaders,
     const std::string label = sim::strf(
         "fig11_%s_%ubg", toString(fgEngine), backgroundReaders);
     auto s = bench::makeSystem(64ull << 30);
-    obs.attach(*s, label);
+    obs.attach(*s);
     s->enableTenantAccounting();
     bench::Recorder rec(*s);
     constexpr std::uint64_t kFile = 256ull << 20;
@@ -188,7 +188,7 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
         const std::string label
             = withAggressor ? "fig11_qos_capped" : "fig11_qos_base";
         auto s = bench::makeSystem(64ull << 30);
-        obs.attach(*s, label);
+        obs.attach(*s);
         s->enableTenantAccounting();
         // Both cells enable QoS; the baseline simply sets no limits
         // (an unlimited registry admits without touching state).
@@ -330,8 +330,8 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: fig11_fairness [--out FILE] "
-                         "[--trace FILE] [--trace-stream FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
+                         "[--trace FILE] [--metrics FILE] "
+                         "[--trace-level N]\n");
             return 2;
         }
     }

@@ -33,8 +33,8 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: fig12_revocation [--out FILE] "
-                         "[--trace FILE] [--trace-stream FILE] "
-                         "[--metrics FILE] [--trace-level N]\n");
+                         "[--trace FILE] [--metrics FILE] "
+                         "[--trace-level N]\n");
             return 2;
         }
     }
@@ -43,7 +43,7 @@ main(int argc, char **argv)
                   "read throughput over time with access revocation");
 
     auto s = bench::makeSystem(16ull << 30);
-    obs.attach(*s, "fig12_revocation");
+    obs.attach(*s);
     s->enableTenantAccounting();
     bench::Recorder rec(*s);
     kern::Process &reader = s->newProcess(1000, 1000);

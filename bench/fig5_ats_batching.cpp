@@ -40,6 +40,7 @@ main(int argc, char **argv)
     std::unique_ptr<bpd::obs::Tracer> tr;
     if (obs.enabled()) {
         tr = std::make_unique<bpd::obs::Tracer>(eq, obs.level, &reg);
+        obs.attach(*tr);
         mmu.setTracer(tr.get());
     }
     const Pasid pasid = 3;
@@ -66,9 +67,8 @@ main(int argc, char **argv)
     std::printf("\nPaper: ~180-220ns overhead, a slight step at 3+ "
                 "translations,\nflat afterwards (8 FTEs per cacheline).\n");
 
+    // Only VBAs are translated here, so the IOTLB (DMA IOVAs) is idle.
     if (obs.enabled()) {
-        reg.counter("iommu", "iotlb_hits").set(mmu.iotlb().hits());
-        reg.counter("iommu", "iotlb_misses").set(mmu.iotlb().misses());
         reg.counter("iommu", "walk_cache_hits")
             .set(mmu.walkCache().hits());
         reg.counter("iommu", "walk_cache_misses")
@@ -76,15 +76,7 @@ main(int argc, char **argv)
         reg.counter("iommu", "vba_translations")
             .set(mmu.vbaTranslations());
         reg.counter("iommu", "page_walk_frames").set(mmu.framesRead());
-        bench::ObsCapture::Capture c;
-        c.label = "fig5_ats_batching";
-        c.data = tr->data();
-        c.meta.digest = bpd::obs::replayDigest(c.data.replay);
-        c.meta.events = eq.executed();
-        c.meta.simNs = eq.now();
-        obs.traces.push_back(std::move(c));
-        obs.runs.push_back(
-            bpd::obs::MetricsRun{"fig5_ats_batching", reg.snapshot()});
+        obs.capture("fig5_ats_batching", *tr, eq, reg);
     }
     return obs.write() ? 0 : 1;
 }

@@ -308,7 +308,7 @@ runSweep(const std::vector<unsigned> &devCounts, unsigned shards,
         sys::Fleet fleet(fleetConfig(devs, shards));
         fleet.target().enableTenantAccounting();
         const std::string label = sim::strf("fleet_dev%u", devs);
-        obs.attach(fleet.target(), "fleet_devices/" + label);
+        obs.attach(fleet.target());
         CellOut cell = runWriterCell(fleet, devs, writes,
                                      /*mixed=*/false, /*evictSlot=*/-1,
                                      0);
@@ -366,7 +366,7 @@ runEviction(unsigned shards, unsigned writes, bool quick, ObsCapture &obs,
 
     sys::Fleet base(fleetConfig(devs, shards));
     base.target().enableTenantAccounting();
-    obs.attach(base.target(), "fleet_devices/eviction_baseline");
+    obs.attach(base.target());
     CellOut cb = runWriterCell(base, devs, writes, /*mixed=*/true,
                                /*evictSlot=*/-1, 0);
     checkTenantSums(base.target());
@@ -374,7 +374,7 @@ runEviction(unsigned shards, unsigned writes, bool quick, ObsCapture &obs,
 
     sys::Fleet fault(fleetConfig(devs, shards));
     fault.target().enableTenantAccounting();
-    obs.attach(fault.target(), "fleet_devices/eviction");
+    obs.attach(fault.target());
     CellOut cf = runWriterCell(fault, devs, writes, /*mixed=*/true,
                                victim, evictAt);
     checkTenantSums(fault.target());
@@ -508,13 +508,6 @@ main(int argc, char **argv)
                          "[--metrics FILE] [--trace-level N]\n");
             return 2;
         }
-    }
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "fleet_devices: --trace-stream is not supported "
-                     "(single-threaded streaming writer vs parallel "
-                     "fleet tracing); use --trace instead.\n");
-        return 2;
     }
 
     sim::setVerbose(false);

@@ -199,7 +199,7 @@ runFig9Randread(bool quick, unsigned shards, bench::ObsCapture &obs)
     sys::SystemConfig cfg;
     cfg.deviceBytes = 16ull << 30;
     sys::System s(cfg);
-    obs.attach(s, r.name);
+    obs.attach(s);
     auto ex = bindSingle(s, shards, r.name);
 
     wl::FioJob job;
@@ -245,7 +245,7 @@ runFig13WiredTiger(bool quick, unsigned shards, bench::ObsCapture &obs)
     r.metricName = "kops";
 
     auto s = bench::makeSystem(16ull << 30);
-    obs.attach(*s, r.name);
+    obs.attach(*s);
     auto ex = bindSingle(*s, shards, r.name);
     apps::WiredTigerConfig cfg;
     cfg.records = 4'000'000;
@@ -290,7 +290,7 @@ runFig12Revocation(bool quick, unsigned shards, bench::ObsCapture &obs)
     r.metricName = "mb_per_s";
 
     auto s = bench::makeSystem(16ull << 30);
-    obs.attach(*s, r.name);
+    obs.attach(*s);
     auto ex = bindSingle(*s, shards, r.name);
     bench::Recorder rec(*s);
     kern::Process &reader = s->newProcess(1000, 1000);
@@ -385,14 +385,11 @@ runFig12Revocation(bool quick, unsigned shards, bench::ObsCapture &obs)
  * window is tens of microseconds of virtual time and the shards run
  * thousands of events per barrier.
  *
- * Under --trace each machine is captured as its own retained-mode
- * Perfetto process (fleet_fio_4x6/sys<i>), merged deterministically by
- * ObsCapture::write. The streams are marked replay-unsupported: a
- * beacon-entangled multi-machine capture is not replayable as
- * independent single-machine streams — the replay would miss the
- * controller's events. --trace-stream is refused in main(): the
- * streaming writer is single-threaded and fleet spans are produced by
- * several shard threads. See DESIGN.md §12.
+ * Under --trace each machine is captured as its own Perfetto process
+ * (fleet_fio_4x6/sys<i>), appended in machine order. The streams are
+ * marked replay-unsupported: a beacon-entangled multi-machine capture
+ * is not replayable as independent single-machine streams — the
+ * replay would miss the controller's events. See DESIGN.md §12.
  */
 ScenarioResult
 runFleetFio(bool quick, unsigned shards, bench::ObsCapture &obs)
@@ -420,7 +417,7 @@ runFleetFio(bool quick, unsigned shards, bench::ObsCapture &obs)
 
     for (unsigned i = 0; i < fleet.size(); i++) {
         sys::System &s = fleet.system(i);
-        obs.attach(s, sim::strf("%s/sys%u", r.name.c_str(), i));
+        obs.attach(s);
         if (s.tracer())
             s.tracer()->replayUnsupported(
                 "fleet: beacon-entangled multi-machine capture");
@@ -509,16 +506,6 @@ main(int argc, char **argv)
                          "[--trace-level N]\n");
             return 2;
         }
-    }
-
-    if (!obs.streamPath.empty()) {
-        std::fprintf(stderr,
-                     "perf_harness: --trace-stream is not supported: "
-                     "the fleet scenario traces several machines whose "
-                     "spans are produced by parallel shard threads, and "
-                     "the streaming writer is single-threaded. Use "
-                     "--trace (retained per-system capture) instead.\n");
-        return 2;
     }
 
     bench::banner("perf_harness",

@@ -21,8 +21,7 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: table1_latency_breakdown [--trace FILE] "
-                         "[--trace-stream FILE] [--metrics FILE] "
-                         "[--trace-level N]\n");
+                         "[--metrics FILE] [--trace-level N]\n");
             return 2;
         }
     }
@@ -32,7 +31,7 @@ main(int argc, char **argv)
 
     constexpr std::uint16_t kMain = obs::ReplayRec::kMainLane;
     auto s = bench::makeSystem();
-    obs.attach(*s, "table1_breakdown");
+    obs.attach(*s);
     s->enableTenantAccounting();
     bench::Recorder rec(*s);
     kern::Process &p = s->newProcess();

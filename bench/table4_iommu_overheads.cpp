@@ -54,6 +54,7 @@ main(int argc, char **argv)
     std::unique_ptr<bpd::obs::Tracer> tr;
     if (obs.enabled()) {
         tr = std::make_unique<bpd::obs::Tracer>(eq, obs.level, &reg);
+        obs.attach(*tr);
         mmu.setTracer(tr.get());
     }
 
@@ -101,23 +102,11 @@ main(int argc, char **argv)
                 (unsigned long long)mmu.iotlb().hits(),
                 (unsigned long long)mmu.iotlb().misses());
 
+    // Only DMA IOVAs are translated here: no page walk, no walk cache.
     if (obs.enabled()) {
         reg.counter("iommu", "iotlb_hits").set(mmu.iotlb().hits());
         reg.counter("iommu", "iotlb_misses").set(mmu.iotlb().misses());
-        reg.counter("iommu", "walk_cache_hits")
-            .set(mmu.walkCache().hits());
-        reg.counter("iommu", "walk_cache_misses")
-            .set(mmu.walkCache().misses());
-        reg.counter("iommu", "page_walk_frames").set(mmu.framesRead());
-        bench::ObsCapture::Capture c;
-        c.label = "table4_ioat_copy";
-        c.data = tr->data();
-        c.meta.digest = bpd::obs::replayDigest(c.data.replay);
-        c.meta.events = eq.executed();
-        c.meta.simNs = eq.now();
-        obs.traces.push_back(std::move(c));
-        obs.runs.push_back(
-            bpd::obs::MetricsRun{"table4_ioat_copy", reg.snapshot()});
+        obs.capture("table4_ioat_copy", *tr, eq, reg);
     }
     return obs.write() ? 0 : 1;
 }

@@ -24,8 +24,7 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: table5_fmap_overheads [--trace FILE] "
-                         "[--trace-stream FILE] [--metrics FILE] "
-                         "[--trace-level N]\n");
+                         "[--metrics FILE] [--trace-level N]\n");
             return 2;
         }
     }
@@ -53,7 +52,7 @@ main(int argc, char **argv)
     for (const Case &c : cases) {
         const std::string label = std::string("table5_fmap_") + c.name;
         auto s = bench::makeSystem(64ull << 30);
-        obs.attach(*s, label);
+        obs.attach(*s);
         s->enableTenantAccounting();
         bench::Recorder rec(*s);
         kern::Process &owner = s->newProcess();

@@ -1,6 +1,8 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cinttypes>
+#include <type_traits>
 
 #include <sys/resource.h>
 
@@ -145,91 +147,6 @@ void printReplaySection(std::FILE *f, const char *name, unsigned pid,
 
 } // namespace
 
-void writeChromeTrace(std::FILE *f,
-                      const std::vector<TraceProcess> &processes)
-{
-    std::fputs("{\"traceEvents\":[", f);
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            std::fputs(",\n", f);
-        else
-            std::fputc('\n', f);
-        first = false;
-    };
-
-    for (std::size_t p = 0; p < processes.size(); ++p) {
-        const unsigned pid = static_cast<unsigned>(p + 1);
-        const TraceData *data = processes[p].data;
-        if (!data)
-            continue;
-
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%u,"
-                     "\"tid\":0,\"args\":{\"name\":\"",
-                     pid);
-        printEscaped(f, processes[p].name.c_str());
-        std::fputs("\"}}", f);
-
-        for (std::size_t t = 0; t < data->tracks.size(); ++t) {
-            sep();
-            std::fprintf(f,
-                         "{\"ph\":\"M\",\"name\":\"thread_name\","
-                         "\"pid\":%u,\"tid\":%zu,\"args\":{\"name\":\"",
-                         pid, t);
-            printEscaped(f, data->tracks[t].c_str());
-            std::fputs("\"}}", f);
-        }
-
-        for (const SpanRec &rec : data->spans) {
-            sep();
-            printSpanEvent(f, pid, rec);
-        }
-    }
-
-    std::fputs("\n],\"displayTimeUnit\":\"ns\"", f);
-
-    // Replay-sufficient request records, one entry per traced process.
-    // Perfetto and chrome://tracing ignore unknown top-level keys, so
-    // the trace stays loadable; tools/trace_replay reads this section.
-    bool anyReplay = false;
-    for (const TraceProcess &tp : processes)
-        anyReplay |= tp.data
-                     && (!tp.data->replay.empty() || tp.replay != nullptr);
-    if (anyReplay) {
-        std::fputs(",\n\"replay\":[", f);
-        bool firstProc = true;
-        for (std::size_t p = 0; p < processes.size(); ++p) {
-            const TraceData *data = processes[p].data;
-            if (!data || (data->replay.empty() && !processes[p].replay))
-                continue;
-            if (!firstProc)
-                std::fputc(',', f);
-            firstProc = false;
-            std::fputc('\n', f);
-            printReplaySection(f, processes[p].name.c_str(),
-                               static_cast<unsigned>(p + 1), *data,
-                               processes[p].replay);
-        }
-        std::fputs("\n]", f);
-    }
-
-    std::fputs("}\n", f);
-}
-
-bool writeChromeTraceFile(const std::string &path,
-                          const std::vector<TraceProcess> &processes)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    writeChromeTrace(f, processes);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
-}
-
 bool writeMetricsFile(const std::string &path,
                       const std::vector<MetricsRun> &runs)
 {
@@ -287,125 +204,155 @@ bool BenchJson::write(const std::string &path, const std::string &label,
     return true;
 }
 
-StreamingTraceWriter::~StreamingTraceWriter()
+// Spilled spans are written and read back as raw bytes within one
+// process: their name and arg-key pointers are string literals.
+static_assert(std::is_trivially_copyable_v<SpanRec>);
+
+SpanSpill::SpanSpill(bool keep) : keep_(keep)
+{
+    if (keep_)
+        buf_.reserve(kBufferSpans);
+}
+
+SpanSpill::~SpanSpill()
+{
+    if (file_)
+        std::fclose(file_);
+}
+
+void SpanSpill::onSpan(const SpanRec &rec, const std::vector<std::string> &)
+{
+    if (!keep_ || failed_)
+        return;
+    if (buf_.size() == kBufferSpans) {
+        if (!file_)
+            file_ = std::tmpfile();
+        if (!file_
+            || std::fwrite(buf_.data(), sizeof(SpanRec), buf_.size(), file_)
+                   != buf_.size()) {
+            failed_ = true;
+            return;
+        }
+        spilled_ += buf_.size();
+        buf_.clear();
+    }
+    buf_.push_back(rec);
+}
+
+TraceWriter::~TraceWriter()
 {
     close();
 }
 
-bool StreamingTraceWriter::open(const std::string &path)
+bool TraceWriter::open(const std::string &path)
 {
-    f_ = std::fopen(path.c_str(), "w");
-    if (!f_)
-        return false;
-    buf_.reserve(kBufferSpans);
-    std::fputs("{\"traceEvents\":[", f_);
-    first_ = true;
-    return std::ferror(f_) == 0;
+    path_ = path;
+    out_ = std::fopen(path.c_str(), "w");
+    failed_ = !out_;
+    if (out_)
+        std::fputs("{\"traceEvents\":[", out_);
+    return out_ != nullptr;
 }
 
-void StreamingTraceWriter::sep()
+std::unique_ptr<SpanSpill> TraceWriter::sink() const
 {
-    std::fputs(first_ ? "\n" : ",\n", f_);
-    first_ = false;
+    return std::make_unique<SpanSpill>(isOpen());
 }
 
-void StreamingTraceWriter::flush()
+void TraceWriter::printSpans(unsigned pid, const std::vector<SpanRec> &spans)
 {
-    if (!f_)
-        return;
-    for (const SpanRec &rec : buf_) {
-        sep();
-        printSpanEvent(f_, pid_, rec);
+    for (const SpanRec &rec : spans) {
+        std::fputs(",\n", out_);
+        printSpanEvent(out_, pid, rec);
     }
-    buf_.clear();
-    error_ |= std::ferror(f_) != 0;
 }
 
-unsigned StreamingTraceWriter::beginProcess(const std::string &name)
+void TraceWriter::append(const std::string &name, const TraceData &data,
+                         const ReplayMeta *meta, SpanSpill *spans)
 {
-    flush();
-    pid_ = nextPid_++;
-    curName_ = name;
-    emittedTracks_ = 0;
-    if (f_) {
-        sep();
-        std::fprintf(f_,
-                     "{\"ph\":\"M\",\"name\":\"process_name\","
-                     "\"pid\":%u,\"tid\":0,\"args\":{\"name\":\"",
-                     pid_);
-        printEscaped(f_, name.c_str());
-        std::fputs("\"}}", f_);
-    }
-    return pid_;
-}
-
-void StreamingTraceWriter::onSpan(const SpanRec &rec,
-                                  const std::vector<std::string> &tracks)
-{
-    if (!f_)
+    if (!out_)
         return;
-    // The intern table only grows; emit thread_name metadata for any
-    // track that appeared since the last span (position in the event
-    // array does not matter to the Chrome format).
-    while (emittedTracks_ < tracks.size()) {
-        sep();
-        std::fprintf(f_,
-                     "{\"ph\":\"M\",\"name\":\"thread_name\","
+    const unsigned pid = ++pid_;
+    std::fprintf(out_,
+                 "%s{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%u,"
+                 "\"tid\":0,\"args\":{\"name\":\"",
+                 pid == 1 ? "\n" : ",\n", pid);
+    printEscaped(out_, name.c_str());
+    std::fputs("\"}}", out_);
+
+    for (std::size_t t = 0; t < data.tracks.size(); ++t) {
+        std::fprintf(out_,
+                     ",\n{\"ph\":\"M\",\"name\":\"thread_name\","
                      "\"pid\":%u,\"tid\":%zu,\"args\":{\"name\":\"",
-                     pid_, emittedTracks_);
-        printEscaped(f_, tracks[emittedTracks_].c_str());
-        std::fputs("\"}}", f_);
-        ++emittedTracks_;
+                     pid, t);
+        printEscaped(out_, data.tracks[t].c_str());
+        std::fputs("\"}}", out_);
     }
-    buf_.push_back(rec);
-    if (buf_.size() >= kBufferSpans)
-        flush();
-}
 
-void StreamingTraceWriter::endProcess(const TraceData &data,
-                                      const ReplayMeta *meta)
-{
-    flush();
-    if (data.replay.empty() && data.replayMissing.empty() && !meta)
-        return;
-    PendingReplay p;
-    p.name = curName_;
-    p.pid = pid_;
-    // Spans were streamed; only the (small) replay side is copied.
-    p.data.replay = data.replay;
-    p.data.files = data.files;
-    p.data.replayMissing = data.replayMissing;
-    if (meta) {
-        p.meta = *meta;
-        p.hasMeta = true;
-    }
-    pending_.push_back(std::move(p));
-}
-
-bool StreamingTraceWriter::close()
-{
-    if (!f_)
-        return !error_;
-    flush();
-    std::fputs("\n],\"displayTimeUnit\":\"ns\"", f_);
-    if (!pending_.empty()) {
-        std::fputs(",\n\"replay\":[", f_);
-        for (std::size_t i = 0; i < pending_.size(); ++i) {
-            const PendingReplay &p = pending_[i];
-            if (i)
-                std::fputc(',', f_);
-            std::fputc('\n', f_);
-            printReplaySection(f_, p.name.c_str(), p.pid, p.data,
-                               p.hasMeta ? &p.meta : nullptr);
+    // A run keeps its spans in the tracer (no sink) or in its sink,
+    // whose spilled spans precede its buffer.
+    printSpans(pid, data.spans);
+    if (spans) {
+        failed_ |= spans->failed_;
+        if (spans->file_ && !spans->failed_) {
+            // fseek, unlike rewind, reports a failed flush.
+            bool ok = std::fseek(spans->file_, 0, SEEK_SET) == 0;
+            std::vector<SpanRec> batch;
+            for (std::size_t left = spans->spilled_; ok && left > 0;) {
+                batch.resize(std::min(left, SpanSpill::kBufferSpans));
+                ok = std::fread(batch.data(), sizeof(SpanRec), batch.size(),
+                                spans->file_)
+                     == batch.size();
+                if (ok)
+                    printSpans(pid, batch);
+                left -= batch.size();
+            }
+            failed_ |= !ok;
         }
-        std::fputs("\n]", f_);
+        printSpans(pid, spans->buf_);
     }
-    std::fputs("}\n", f_);
-    error_ |= std::ferror(f_) != 0;
-    std::fclose(f_);
-    f_ = nullptr;
-    pending_.clear();
-    return !error_;
+
+    failed_ |= std::ferror(out_) != 0;
+    if (data.replay.empty() && !meta)
+        return;
+    const bool firstReplay = !replay_;
+    if (firstReplay)
+        replay_ = std::tmpfile();
+    if (!replay_) {
+        failed_ = true;
+        return;
+    }
+    std::fputs(firstReplay ? "\n" : ",\n", replay_);
+    printReplaySection(replay_, name.c_str(), pid, data, meta);
+    failed_ |= std::ferror(replay_) != 0;
+}
+
+bool TraceWriter::close()
+{
+    if (!out_)
+        return !failed_;
+    std::fputs("\n],\"displayTimeUnit\":\"ns\"", out_);
+    // Perfetto and chrome://tracing ignore unknown top-level keys, so
+    // the trace stays loadable; tools/trace_replay reads this section.
+    if (replay_) {
+        std::fputs(",\n\"replay\":[", out_);
+        failed_ |= std::fseek(replay_, 0, SEEK_SET) != 0;
+        char buf[1 << 16];
+        std::size_t n;
+        while ((n = std::fread(buf, 1, sizeof(buf), replay_)) > 0)
+            failed_ |= std::fwrite(buf, 1, n, out_) != n;
+        failed_ |= std::ferror(replay_) != 0;
+        std::fclose(replay_);
+        replay_ = nullptr;
+        std::fputs("\n]", out_);
+    }
+    std::fputs("}\n", out_);
+    failed_ |= std::ferror(out_) != 0;
+    failed_ |= std::fclose(out_) != 0;
+    out_ = nullptr;
+    if (failed_)
+        std::remove(path_.c_str());
+    return !failed_;
 }
 
 } // namespace bpd::obs

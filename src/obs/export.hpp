@@ -4,8 +4,8 @@
  * chrome://tracing), a metrics JSON dump and the bench-v1 results
  * document.
  *
- * Each TraceData becomes one Perfetto *process* (pid) so benches that
- * build one System per scenario/cell can merge all runs into a single
+ * Each traced run becomes one Perfetto *process* (pid) so benches that
+ * build one System per scenario/cell merge all runs into a single
  * file; interned tracks become *threads* (tid) with thread_name
  * metadata. Virtual-time nanoseconds are emitted as fractional
  * microseconds (the unit the Chrome format expects).
@@ -15,6 +15,7 @@
 #define BPD_OBS_EXPORT_HPP
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,28 +41,12 @@ struct ReplayMeta
     Time simNs = 0;           ///< virtual time at capture
 };
 
-/** One traced run: shown as a named process in Perfetto. */
-struct TraceProcess
-{
-    std::string name;
-    const TraceData *data = nullptr;
-    const ReplayMeta *replay = nullptr; ///< optional replay metadata
-};
-
 /** One metrics snapshot, keyed by run label in the output object. */
 struct MetricsRun
 {
     std::string name;
     MetricsSnapshot snapshot;
 };
-
-/** Write Chrome trace-event JSON ({"traceEvents": [...]}). */
-void writeChromeTrace(std::FILE *f,
-                      const std::vector<TraceProcess> &processes);
-
-/** writeChromeTrace to @p path; returns false on I/O error. */
-bool writeChromeTraceFile(const std::string &path,
-                          const std::vector<TraceProcess> &processes);
 
 /**
  * Write {"schema": "bypassd-metrics-v1", "runs": {label: {...}}} to
@@ -122,77 +107,97 @@ struct BenchJson
 std::uint64_t peakRssBytes();
 
 /**
- * Incremental Chrome-trace writer: spans stream to the output file as
- * the run progresses through a bounded buffer, so RSS stays flat for
- * long Device-level traces. Produces byte-compatible output with
- * writeChromeTrace (metadata events may appear at different positions,
- * which the format permits).
- *
- * Usage, once per traced System:
- *   writer.open(path);
- *   pid = writer.beginProcess(label);  tracer.setStream(&writer);
- *   ... run ...
- *   tracer.setStream(nullptr);  writer.endProcess(data, &meta);
- * and a final writer.close() emits the replay sections and trailer.
- *
- * Replay streams and track tables are small, so they are copied at
- * endProcess() and written in the trailer; only spans stream.
+ * Span storage of one traced run, attached with Tracer::setStream. At
+ * most kBufferSpans spans stay in memory; the rest spill, as raw
+ * SpanRecs, to a private temporary file. Only the run's own System
+ * thread touches the sink while the run is live, so the machines of a
+ * sharded fleet need no lock. A sink made not to keep spans drops
+ * them. TraceWriter::append reads the spans back.
  */
-class StreamingTraceWriter : public SpanSink
+class SpanSpill : public SpanSink
 {
   public:
-    /** Spans buffered between fwrite flushes. */
     static constexpr std::size_t kBufferSpans = 4096;
 
-    StreamingTraceWriter() = default;
-    ~StreamingTraceWriter() override;
+    explicit SpanSpill(bool keep);
+    ~SpanSpill() override;
 
-    StreamingTraceWriter(const StreamingTraceWriter &) = delete;
-    StreamingTraceWriter &operator=(const StreamingTraceWriter &)
-        = delete;
+    SpanSpill(const SpanSpill &) = delete;
+    SpanSpill &operator=(const SpanSpill &) = delete;
 
-    /** Open @p path and write the header; false on I/O error. */
-    bool open(const std::string &path);
-    bool isOpen() const { return f_ != nullptr; }
-
-    /** Start the next Perfetto process; returns its pid. */
-    unsigned beginProcess(const std::string &name);
-
-    /** SpanSink: buffer the span, flush when the buffer fills. */
     void onSpan(const SpanRec &rec,
                 const std::vector<std::string> &tracks) override;
 
-    /**
-     * Finish the current process: flush buffered spans and stash its
-     * replay stream/metadata (copied; emitted in the trailer).
-     */
-    void endProcess(const TraceData &data, const ReplayMeta *meta);
+    /** Spans kept so far, spilled ones included. */
+    std::size_t size() const { return spilled_ + buf_.size(); }
 
-    /** Flush, write the trailer, close. False if any write failed. */
+  private:
+    friend class TraceWriter;
+
+    bool keep_;
+    bool failed_ = false; ///< a spill write failed; spans were lost
+    std::vector<SpanRec> buf_;
+    std::FILE *file_ = nullptr;
+    std::size_t spilled_ = 0;
+};
+
+/**
+ * The one Chrome trace-event writer ({"traceEvents": [...]}). Each
+ * append() adds one traced run as a Perfetto process, pids in append
+ * order: its process_name and thread_name metadata, then its spans —
+ * those retained in TraceData::spans and those its SpanSpill kept —
+ * and stages its replay section in a temporary file. close() writes
+ * the staged sections as the top-level "replay" array after the
+ * events. Memory stays bounded by one span buffer per live run.
+ *
+ * Usage, once per traced run:
+ *   auto sink = writer.sink();  tracer.setStream(sink.get());
+ *   ... run ...
+ *   tracer.setStream(nullptr);
+ *   writer.append(label, tracer.data(), &meta, sink.get());
+ */
+class TraceWriter
+{
+  public:
+    TraceWriter() = default;
+    ~TraceWriter();
+
+    TraceWriter(const TraceWriter &) = delete;
+    TraceWriter &operator=(const TraceWriter &) = delete;
+
+    /** Open @p path and write the header; false on I/O error. */
+    bool open(const std::string &path);
+    bool isOpen() const { return out_ != nullptr; }
+
+    /** A sink for one run; it keeps spans only while this writer is
+     *  open. */
+    std::unique_ptr<SpanSpill> sink() const;
+
+    /**
+     * Append one process named @p name holding the spans of @p data
+     * and of @p spans. Its replay section is written when @p data has
+     * replay records or @p meta is given. No-op while not open; a
+     * failed spill of @p spans fails the writer.
+     */
+    void append(const std::string &name, const TraceData &data,
+                const ReplayMeta *meta = nullptr,
+                SpanSpill *spans = nullptr);
+
+    /**
+     * Write the replay sections and the trailer, and close. False if
+     * opening or any write failed; the partial file is then removed,
+     * so a failed trace never passes for a shorter one.
+     */
     bool close();
 
   private:
-    struct PendingReplay
-    {
-        std::string name;
-        unsigned pid = 0;
-        TraceData data; ///< replay/files/replayMissing only (no spans)
-        ReplayMeta meta;
-        bool hasMeta = false;
-    };
+    void printSpans(unsigned pid, const std::vector<SpanRec> &spans);
 
-    void sep();
-    void flush();
-
-    std::FILE *f_ = nullptr;
-    bool first_ = true;
-    bool error_ = false;
-    unsigned pid_ = 0;
-    unsigned nextPid_ = 1;
-    std::string curName_;
-    std::size_t emittedTracks_ = 0;
-    std::vector<SpanRec> buf_;
-    std::vector<PendingReplay> pending_;
+    std::FILE *out_ = nullptr;
+    std::FILE *replay_ = nullptr; ///< staged replay sections
+    std::string path_;
+    unsigned pid_ = 0; ///< pid of the last appended process
+    bool failed_ = false;
 };
 
 } // namespace bpd::obs

@@ -9,7 +9,9 @@
  * Parser: numbers keep their raw token alongside the double so 64-bit
  * integers read back exactly (asU64/asI64); \uXXXX escapes decode to
  * UTF-8, surrogate pairs included. Strings must follow RFC 8259: raw
- * control characters and unknown escapes are errors.
+ * control characters and unknown escapes are errors. parseMember keeps
+ * one top-level member and only checks the rest, so a reader of one
+ * section of a large trace does not build a tree of the whole file.
  *
  * Writer: escaping, commas and indentation are handled; integers are
  * exact, doubles use a caller-given printf format, and a parsed Value
@@ -99,18 +101,37 @@ class Parser
     bool parse(Value &out, std::string &err)
     {
         skipWs();
-        if (!parseValue(out, err))
-            return false;
+        return parseValue(&out, err) && atEnd(err);
+    }
+
+    /**
+     * Parse a document whose root is an object, keeping only its member
+     * @p key in @p out (Null when absent). Every other member is still
+     * checked, one element at a time, but nothing of it is kept.
+     */
+    bool parseMember(std::string_view key, Value &out, std::string &err)
+    {
         skipWs();
-        if (p_ != end_) {
-            err = "trailing data at offset "
-                  + std::to_string(p_ - begin_);
+        if (p_ == end_ || *p_ != '{')
+            return fail(err, "expected an object");
+        Value root;
+        if (!parseObject(&root, err, &key) || !atEnd(err))
             return false;
-        }
+        auto it = root.obj.find(std::string(key));
+        out = it == root.obj.end() ? Value{} : std::move(it->second);
         return true;
     }
 
   private:
+    bool atEnd(std::string &err)
+    {
+        skipWs();
+        if (p_ == end_)
+            return true;
+        err = "trailing data at offset " + std::to_string(p_ - begin_);
+        return false;
+    }
+
     void skipWs()
     {
         while (p_ != end_
@@ -125,26 +146,31 @@ class Parser
         return false;
     }
 
-    bool parseValue(Value &out, std::string &err)
+    /** Parse one value into @p out; with null @p out, check it only. */
+    bool parseValue(Value *out, std::string &err)
     {
         if (p_ == end_)
             return fail(err, "unexpected end of input");
+        Value &v = out ? *out : scratch_;
         switch (*p_) {
         case '{': return parseObject(out, err);
         case '[': return parseArray(out, err);
         case '"':
-            out.type = Value::Type::String;
-            return parseString(out.str, err);
+            v.type = Value::Type::String;
+            return parseString(v.str, err);
         case 't':
-        case 'f': return parseBool(out, err);
-        case 'n': return parseNull(out, err);
-        default: return parseNumber(out, err);
+        case 'f': return parseBool(v, err);
+        case 'n': return parseNull(v, err);
+        default: return parseNumber(v, err);
         }
     }
 
-    bool parseObject(Value &out, std::string &err)
+    /** With @p only set, keep just that member of the object. */
+    bool parseObject(Value *out, std::string &err,
+                     const std::string_view *only = nullptr)
     {
-        out.type = Value::Type::Object;
+        if (out)
+            out->type = Value::Type::Object;
         ++p_; // '{'
         skipWs();
         if (p_ != end_ && *p_ == '}') {
@@ -163,7 +189,9 @@ class Parser
                 return fail(err, "expected ':'");
             ++p_;
             skipWs();
-            if (!parseValue(out.obj[key], err))
+            Value *member
+                = out && (!only || key == *only) ? &out->obj[key] : nullptr;
+            if (!parseValue(member, err))
                 return false;
             skipWs();
             if (p_ == end_)
@@ -180,9 +208,10 @@ class Parser
         }
     }
 
-    bool parseArray(Value &out, std::string &err)
+    bool parseArray(Value *out, std::string &err)
     {
-        out.type = Value::Type::Array;
+        if (out)
+            out->type = Value::Type::Array;
         ++p_; // '['
         skipWs();
         if (p_ != end_ && *p_ == ']') {
@@ -191,8 +220,7 @@ class Parser
         }
         while (true) {
             skipWs();
-            out.arr.emplace_back();
-            if (!parseValue(out.arr.back(), err))
+            if (!parseValue(out ? &out->arr.emplace_back() : nullptr, err))
                 return false;
             skipWs();
             if (p_ == end_)
@@ -354,6 +382,7 @@ class Parser
     const char *begin_;
     const char *p_;
     const char *end_;
+    Value scratch_; ///< scalars of values that are checked, not kept
 };
 
 /** Parse @p text; on failure returns false and sets @p err. */
@@ -361,6 +390,14 @@ inline bool parse(const std::string &text, Value &out, std::string &err)
 {
     Parser p(text.data(), text.size());
     return p.parse(out, err);
+}
+
+/** Parser::parseMember over @p text. */
+inline bool parseMember(const std::string &text, std::string_view key,
+                        Value &out, std::string &err)
+{
+    Parser p(text.data(), text.size());
+    return p.parseMember(key, out, err);
 }
 
 /**

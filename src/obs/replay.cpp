@@ -8,7 +8,6 @@
 #include <memory>
 #include <queue>
 #include <set>
-#include <sstream>
 
 #include "kern/io_uring.hpp"
 #include "obs/json.hpp"
@@ -863,26 +862,29 @@ bool
 loadRecordedTrace(const std::string &path, RecordedTrace &out,
                   std::string &error)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) {
         error = "cannot open " + path;
         return false;
     }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    json::Value root;
-    if (!json::parse(text, root, error))
+    std::string text(static_cast<std::size_t>(in.tellg()), '\0');
+    in.seekg(0);
+    if (!in.read(text.data(), static_cast<std::streamsize>(text.size()))) {
+        error = "cannot read " + path;
         return false;
-    const json::Value *rep = root.find("replay");
-    if (!rep)
+    }
+
+    // The spans are checked but not kept: only "replay" is read.
+    json::Value rep;
+    if (!json::parseMember(text, "replay", rep, error))
+        return false;
+    if (rep.type == json::Value::Type::Null)
         return true; // trace predates replay capture, or none recorded
-    if (!rep->isArray()) {
+    if (!rep.isArray()) {
         error = "\"replay\" is not an array";
         return false;
     }
-    for (const json::Value &pv : rep->arr) {
+    for (const json::Value &pv : rep.arr) {
         RecordedProcess p;
         if (const json::Value *v = pv.find("process");
             v && v->isString())
@@ -990,11 +992,6 @@ replayRun(const RecordedProcess &rec, const ReplayOptions &opt,
 
     sys::SystemConfig cfg
         = rec.hasMeta ? configFromMap(rec.config) : sys::SystemConfig{};
-    if (opt.iotlbEntries >= 0)
-        cfg.iommu.iotlbEntries
-            = static_cast<unsigned>(opt.iotlbEntries);
-    if (opt.iotlbWays >= 0)
-        cfg.iommu.iotlbWays = static_cast<unsigned>(opt.iotlbWays);
     if (opt.walkCacheEntries >= 0)
         cfg.iommu.walkCacheEntries
             = static_cast<unsigned>(opt.walkCacheEntries);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace-driven replay: turn the replay section embedded in an
- * obs::writeChromeTrace file back into a live request stream and
+ * obs::TraceWriter file back into a live request stream and
  * re-drive it through a fresh sys::System.
  *
  * Capture writes one replay stream per traced process (see
@@ -22,7 +22,7 @@
  * bit-identical to the capture: same per-record issue/complete times,
  * results, stream digest, and curated counters. This is the
  * round-trip contract CI gates on. Under a changed configuration
- * (engine override, IOTLB sizing, SSD latency) the same request
+ * (engine override, walk-cache sizing, SSD latency) the same request
  * stream is re-driven and timing/counters diverge — that is the
  * point: a captured workload becomes a portable benchmark.
  */
@@ -64,9 +64,9 @@ struct RecordedTrace
 
 /**
  * Parse the "replay" section out of a Chrome-trace JSON file written
- * by obs::writeChromeTrace. Returns false (with @p error set) on I/O
- * or parse errors; a trace without a replay section yields an empty
- * process list and succeeds.
+ * by obs::TraceWriter. The rest of the file is checked but not kept.
+ * Returns false (with @p error set) on I/O or parse errors; a trace
+ * without a replay section yields an empty process list and succeeds.
  */
 bool loadRecordedTrace(const std::string &path, RecordedTrace &out,
                        std::string &error);
@@ -191,20 +191,15 @@ curatedCounters(sys::System &s)
     // Hardware-side counters fold across every fleet slot; on a
     // single-device system the fold equals the classic slot-0 values,
     // so old captures compare bit-identically.
-    std::uint64_t tlbHits = 0, tlbMisses = 0, wcMisses = 0, frames = 0,
-                  vba = 0, devOps = 0;
+    std::uint64_t wcMisses = 0, frames = 0, vba = 0, devOps = 0;
     for (std::size_t i = 0; i < s.devices.size(); i++) {
         const iommu::Iommu &mmu = s.devices.slot(i).iommu;
-        tlbHits += mmu.iotlb().hits();
-        tlbMisses += mmu.iotlb().misses();
         wcMisses += mmu.walkCache().misses();
         frames += mmu.framesRead();
         vba += mmu.vbaTranslations();
         devOps += s.devices.slot(i).dev.totalOps();
     }
     return {
-        {"iotlb_hits", tlbHits},
-        {"iotlb_misses", tlbMisses},
         {"walk_cache_misses", wcMisses},
         {"page_walk_frames", frames},
         {"journal_commits", s.ext4.journal().committedTxns()},
@@ -221,8 +216,6 @@ struct ReplayOptions
     int engine = -1;
     /** Replay only lanes < N (0 = all); CPU occupancy capped to N. */
     std::uint32_t lanes = 0;
-    std::int64_t iotlbEntries = -1;
-    std::int64_t iotlbWays = -1;
     std::int64_t walkCacheEntries = -1;
     std::int64_t ssdReadNs = -1;  //!< SSD read base latency override
     std::int64_t ssdWriteNs = -1; //!< SSD write base latency override
@@ -236,8 +229,7 @@ struct ReplayOptions
     bool
     overridesConfig() const
     {
-        return engine >= 0 || lanes != 0 || iotlbEntries >= 0
-               || iotlbWays >= 0 || walkCacheEntries >= 0
+        return engine >= 0 || lanes != 0 || walkCacheEntries >= 0
                || ssdReadNs >= 0 || ssdWriteNs >= 0;
     }
 };

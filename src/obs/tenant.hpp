@@ -13,7 +13,7 @@
  * The sum invariant: every per-tenant counter is incremented at the
  * same program point as the pre-existing system-total counter it
  * shadows, so for each exported key, sum over tenants == system total,
- * bit-exactly. Shared-structure stats (IOTLB, walk cache) deliberately
+ * bit-exactly. Shared-structure stats (the walk cache) deliberately
  * stay system-only: a hit caused by one tenant's fill serving another
  * has no honest single owner.
  *

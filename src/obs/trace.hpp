@@ -199,8 +199,8 @@ struct RequestBreakdown
  * Incremental span consumer. When one is attached to the tracer
  * (Tracer::setStream), finished spans are handed over in emission
  * order instead of being retained in TraceData::spans, keeping RSS
- * flat for long Device-level traces. StreamingTraceWriter
- * (obs/export.hpp) implements this over a buffered file.
+ * flat for long Device-level traces. SpanSpill (obs/export.hpp) is
+ * the one the bench binaries attach to every traced run.
  */
 class SpanSink
 {
@@ -237,29 +237,25 @@ class Tracer
                <= static_cast<std::uint8_t>(level_);
     }
 
-    /** Allocate a fresh request id (monotonic, never 0). */
-    TraceId newTrace() { return ++lastTrace_; }
-
     /**
-     * Allocate a request id owned by @p tenant. Every span emitted
-     * with the returned id is stamped with the tenant, so the request
-     * envelope sites (kern::openRequest, the fabric initiator) are the
-     * only places that need to know identity.
-     * Registration allocates (tracing already allocates per span).
+     * Allocate a fresh request id (dense from 1, never 0) owned by
+     * @p tenant. Every span emitted with the returned id is stamped
+     * with the tenant, so the request envelope sites
+     * (kern::openRequest, the fabric initiator) are the only places
+     * that need to know identity.
      */
-    TraceId newTrace(TenantId tenant)
+    TraceId newTrace(TenantId tenant = kSystemTenant)
     {
-        TraceId t = ++lastTrace_;
-        if (tenant != kSystemTenant)
-            traceTenants_[t] = tenant;
-        return t;
+        traceTenants_.push_back(tenant);
+        return traceTenants_.size();
     }
 
     /** Tenant registered for @p trace (0 when unregistered). */
     TenantId tenantOf(TraceId trace) const
     {
-        auto it = traceTenants_.find(trace);
-        return it == traceTenants_.end() ? kSystemTenant : it->second;
+        return trace == 0 || trace > traceTenants_.size()
+                   ? kSystemTenant
+                   : traceTenants_[trace - 1];
     }
 
     /**
@@ -361,14 +357,14 @@ class Tracer
 
     const sim::EventQueue &eq_;
     Level level_;
-    TraceId lastTrace_ = 0;
     TraceData data_;
     /** track(name) and track(prefix, id) caches, keyed by the
      *  literal's address. */
     std::map<std::uintptr_t, std::uint16_t> namedTracks_;
     std::map<std::pair<std::uintptr_t, std::uint64_t>, std::uint16_t>
         numberedTracks_;
-    std::map<TraceId, TenantId> traceTenants_;
+    /** Owner of each request id; index == id - 1. */
+    std::vector<TenantId> traceTenants_;
     SpanSink *sink_ = nullptr;
     std::size_t spanCount_ = 0;
     sim::Histogram *hTotal_ = nullptr;

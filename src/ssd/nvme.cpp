@@ -437,12 +437,8 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     Time translateNs = 0;
     if (cmd.addrIsVba) {
         const bool devTrace = trace_ && trace_->wants(obs::Level::Device);
-        std::uint64_t wcMiss0 = 0, tlbMiss0 = 0, tlbHit0 = 0;
-        if (devTrace) {
-            wcMiss0 = iommu_.walkCache().misses();
-            tlbMiss0 = iommu_.iotlb().misses();
-            tlbHit0 = iommu_.iotlb().hits();
-        }
+        const std::uint64_t wcMiss0
+            = devTrace ? iommu_.walkCache().misses() : 0;
         iommu_.translateVbaInto(qp.pasid(), cmd.addr, cmd.len,
                                 cmd.op == Op::Write, devId_, xlate_);
         const iommu::TransResult &tr = xlate_;
@@ -459,10 +455,6 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
                   static_cast<std::int64_t>(tr.framesRead)},
                  {"wc_miss", static_cast<std::int64_t>(
                                  iommu_.walkCache().misses() - wcMiss0)},
-                 {"iotlb_miss", static_cast<std::int64_t>(
-                                    iommu_.iotlb().misses() - tlbMiss0)},
-                 {"iotlb_hit", static_cast<std::int64_t>(
-                                   iommu_.iotlb().hits() - tlbHit0)},
                  {"fault", static_cast<std::int64_t>(!tr.ok)}});
         }
         if (!tr.ok) {

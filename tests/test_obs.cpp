@@ -4,10 +4,13 @@
  * snapshot/merge/JSON, tracer recording semantics (cached tracks,
  * the kern::openRequest envelope), span invariants on a real traced
  * BypassD run, Chrome trace-event export round-trip through the
- * bundled JSON parser, the JSON writer and the bench-v1 document.
+ * bundled JSON parser, the one trace writer (spilled vs retained
+ * spans, fleets at 1 and 2 shards, dropped spans), the JSON writer
+ * and the bench-v1 document.
  */
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -18,13 +21,17 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
+#include "bench/common.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
+#include "system/fleet.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
 
@@ -529,7 +536,10 @@ TEST(Export, ChromeTraceRoundTripsThroughParser)
     s.reset();  // records must outlive the emitting System
 
     const std::string path = ::testing::TempDir() + "bpd_obs_trace.json";
-    ASSERT_TRUE(obs::writeChromeTraceFile(path, {{"testrun", &data}}));
+    obs::TraceWriter w;
+    ASSERT_TRUE(w.open(path));
+    w.append("testrun", data);
+    ASSERT_TRUE(w.close());
 
     std::FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
@@ -600,6 +610,229 @@ TEST(Export, ChromeTraceRoundTripsThroughParser)
 }
 
 // ---------------------------------------------------------------------
+// The one trace writer: spilled spans, fleets, dropped spans
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** A traced BypassD random-read run of some 20k spans, streamed to
+ *  @p sink when one is given. */
+std::unique_ptr<sys::System>
+spanHeavyRun(obs::SpanSink *sink)
+{
+    sim::setVerbose(false);
+    sys::SystemConfig cfg;
+    cfg.deviceBytes = 1ull << 30;
+    cfg.seed = 5;
+    auto s = std::make_unique<sys::System>(cfg);
+    s->enableTracing(obs::Level::Device).setStream(sink);
+    wl::FioJob job;
+    job.engine = wl::Engine::Bypassd;
+    job.rw = wl::RwMode::RandRead;
+    job.bs = 4096;
+    job.numJobs = 4;
+    job.runtime = 4 * kMs;
+    job.warmup = 100 * kUs;
+    job.fileBytes = 4ull << 20;
+    job.seed = 3;
+    job.filePrefix = "/spill";
+    wl::FioRunner(*s).run(job);
+    s->tracer()->setStream(nullptr);
+    return s;
+}
+
+obs::ReplayMeta
+metaOf(sys::System &s)
+{
+    obs::ReplayMeta meta;
+    meta.digest = obs::replayDigest(s.tracer()->data().replay);
+    meta.events = s.eq.executed();
+    meta.simNs = s.now();
+    return meta;
+}
+
+/** A small second process, so pids and separators are checked too. */
+obs::TraceData
+tinyTrace()
+{
+    sim::EventQueue eq;
+    obs::Tracer t(eq, obs::Level::Device);
+    t.span(t.track("tiny"), "tiny.op", t.newTrace(7), 10, 20,
+           {{"bytes", 512}});
+    return t.data();
+}
+
+} // namespace
+
+TEST(TraceWriter, SpilledRunWritesTheSameBytesAsRetained)
+{
+    const std::string pathA = ::testing::TempDir() + "bpd_retained.json";
+    const std::string pathB = ::testing::TempDir() + "bpd_spilled.json";
+    const obs::TraceData tiny = tinyTrace();
+
+    std::unique_ptr<sys::System> a = spanHeavyRun(nullptr);
+    obs::TraceWriter retained;
+    ASSERT_TRUE(retained.open(pathA));
+    const obs::ReplayMeta metaA = metaOf(*a);
+    retained.append("run", a->tracer()->data(), &metaA);
+    retained.append("tiny", tiny);
+    ASSERT_TRUE(retained.close());
+
+    obs::TraceWriter spilled;
+    ASSERT_TRUE(spilled.open(pathB));
+    std::unique_ptr<obs::SpanSpill> sink = spilled.sink();
+    std::unique_ptr<sys::System> b = spanHeavyRun(sink.get());
+    EXPECT_TRUE(b->tracer()->data().spans.empty());
+    EXPECT_EQ(sink->size(), a->tracer()->data().spans.size());
+    EXPECT_GT(sink->size(), 3 * obs::SpanSpill::kBufferSpans);
+    const obs::ReplayMeta metaB = metaOf(*b);
+    spilled.append("run", b->tracer()->data(), &metaB, sink.get());
+    spilled.append("tiny", tiny);
+    ASSERT_TRUE(spilled.close());
+
+    const std::string textA = readFile(pathA);
+    std::remove(pathA.c_str());
+    const std::string textB = readFile(pathB);
+    std::remove(pathB.c_str());
+    EXPECT_GT(textA.size(), 1000000u);
+    EXPECT_TRUE(textA == textB) << "spilled trace differs from retained";
+}
+
+TEST(TraceWriter, FailedSpillFailsTheTraceInsteadOfShorteningIt)
+{
+    const std::string path = ::testing::TempDir() + "bpd_failed_spill.json";
+    obs::TraceWriter w;
+    ASSERT_TRUE(w.open(path));
+    std::unique_ptr<obs::SpanSpill> sink = w.sink();
+    sim::EventQueue eq;
+    obs::Tracer t(eq, obs::Level::Device);
+    t.setStream(sink.get());
+    const std::uint16_t track = t.track("spill");
+
+    // A zero file-size limit makes every spill write fail (EFBIG, with
+    // SIGXFSZ ignored).
+    struct rlimit old = {};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old), 0);
+    struct rlimit none = old;
+    none.rlim_cur = 0;
+    const auto oldHandler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &none), 0);
+    for (Time i = 0; i < 2 * obs::SpanSpill::kBufferSpans; i++)
+        t.span(track, "spill.op", t.newTrace(), i, i + 1);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old), 0);
+    std::signal(SIGXFSZ, oldHandler);
+
+    t.setStream(nullptr);
+    EXPECT_LT(sink->size(), t.spanCount());
+    w.append("run", t.data(), nullptr, sink.get());
+    EXPECT_FALSE(w.close());
+    EXPECT_FALSE(std::ifstream(path).good()) << "partial trace left behind";
+}
+
+TEST(TraceWriter, SinkOfAWriterNotOpenKeepsNothing)
+{
+    obs::TraceWriter w;
+    std::unique_ptr<obs::SpanSpill> sink = w.sink();
+    std::unique_ptr<sys::System> s = spanHeavyRun(sink.get());
+    EXPECT_GT(s->tracer()->spanCount(), 0u);
+    EXPECT_TRUE(s->tracer()->data().spans.empty());
+    EXPECT_EQ(sink->size(), 0u);
+    w.append("run", s->tracer()->data(), nullptr, sink.get());
+    EXPECT_TRUE(w.close());
+}
+
+namespace {
+
+/** Run two fleet machines at @p shards under bench::ObsCapture --trace
+ *  and return the trace file's bytes. */
+std::string
+tracedFleet(unsigned shards)
+{
+    sim::setVerbose(false);
+    bench::ObsCapture obs;
+    obs.tracePath = ::testing::TempDir()
+                    + sim::strf("bpd_fleet_trace_s%u.json", shards);
+    sys::FleetConfig fc;
+    fc.systems = 2;
+    fc.shards = shards;
+    fc.deviceBytes = 1ull << 30;
+    sys::Fleet fleet(fc);
+
+    std::vector<std::unique_ptr<wl::FioRunner>> runners;
+    std::vector<wl::FioPending> pending;
+    Time horizon = 0;
+    for (unsigned i = 0; i < fleet.size(); i++) {
+        sys::System &s = fleet.system(i);
+        obs.attach(s);
+        wl::FioJob j;
+        j.engine = wl::Engine::Bypassd;
+        j.rw = wl::RwMode::RandRead;
+        j.bs = 4096;
+        j.numJobs = 4;
+        j.runtime = 3 * kMs;
+        j.warmup = 100 * kUs;
+        j.fileBytes = 4ull << 20;
+        j.seed = 1 + i;
+        j.filePrefix = sim::strf("/fleet%u_f", i);
+        runners.push_back(std::make_unique<wl::FioRunner>(s));
+        pending.push_back(runners.back()->arm(j));
+        horizon = std::max(horizon, s.now() + j.warmup + j.runtime);
+    }
+    fleet.start(horizon);
+    fleet.run();
+    for (unsigned i = 0; i < fleet.size(); i++) {
+        runners[i]->collect(std::move(pending[i]));
+        EXPECT_GT(fleet.system(i).tracer()->spanCount(),
+                  obs::SpanSpill::kBufferSpans);
+        obs.capture(sim::strf("fleet/sys%u", i), fleet.system(i));
+    }
+    EXPECT_TRUE(obs.write());
+    const std::string text = readFile(obs.tracePath);
+    std::remove(obs.tracePath.c_str());
+    return text;
+}
+
+} // namespace
+
+TEST(FleetTrace, TwoShardsWriteTheSameBytesAsOne)
+{
+    const std::string one = tracedFleet(1);
+    const std::string two = tracedFleet(2);
+    EXPECT_GT(one.size(), 1000000u);
+    EXPECT_TRUE(one == two) << "fleet trace depends on the shard count";
+}
+
+TEST(ObsCapture, MetricsOnlyCaptureKeepsNoSpans)
+{
+    bench::ObsCapture obs;
+    obs.metricsPath = ::testing::TempDir() + "bpd_metrics_only.json";
+    sys::SystemConfig cfg;
+    cfg.deviceBytes = 1ull << 30;
+    sys::System s(cfg);
+    obs.attach(s);
+    wl::FioJob job;
+    job.engine = wl::Engine::Bypassd;
+    job.runtime = 500 * kUs;
+    job.fileBytes = 2ull << 20;
+    wl::FioRunner(s).run(job);
+    EXPECT_GT(s.tracer()->spanCount(), 0u);
+    EXPECT_TRUE(s.tracer()->data().spans.empty());
+    obs.capture("run", s);
+    EXPECT_TRUE(obs.write());
+    EXPECT_FALSE(readFile(obs.metricsPath).empty());
+    std::remove(obs.metricsPath.c_str());
+}
+
+// ---------------------------------------------------------------------
 // Bundled JSON parser corner cases
 // ---------------------------------------------------------------------
 
@@ -641,6 +874,31 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(obs::json::parse("\"a\tb\"", v, err));
     EXPECT_FALSE(obs::json::parse("{\"k\": \"a\nb\"}", v, err));
     EXPECT_FALSE(obs::json::parse(R"("\q")", v, err));
+}
+
+TEST(Json, MemberParseKeepsOneMemberAndChecksTheRest)
+{
+    using obs::json::parseMember;
+    obs::json::Value v;
+    std::string err;
+    ASSERT_TRUE(parseMember(
+        R"({"traceEvents": [{"a": 1}, {"b": [2, "x"]}], "replay": [1, 2]})",
+        "replay", v, err))
+        << err;
+    ASSERT_TRUE(v.isArray());
+    EXPECT_EQ(v.arr.size(), 2u);
+    ASSERT_TRUE(parseMember(R"({"a": 1})", "replay", v, err)) << err;
+    EXPECT_EQ(v.type, obs::json::Value::Type::Null);
+
+    // A malformed element inside a skipped array is still an error.
+    EXPECT_FALSE(parseMember(R"({"traceEvents": [{"a": 1}, {"b": }],)"
+                             R"( "replay": []})",
+                             "replay", v, err));
+    EXPECT_FALSE(parseMember("{\"traceEvents\": [\"a\tb\"], \"replay\": []}",
+                             "replay", v, err));
+    EXPECT_FALSE(parseMember(R"({"replay": []} trailing)", "replay", v,
+                             err));
+    EXPECT_FALSE(parseMember("[1]", "replay", v, err));
 }
 
 TEST(Json, WriterRoundTripsParsedDocument)

@@ -3,9 +3,9 @@
  * Trace-driven replay (src/obs/replay.*): the round-trip contract —
  * capture a traced run, export it, parse it back, re-drive it through a
  * fresh System, and require bit-identical stream digests and curated
- * counters — plus cross-configuration replay (engine override, IOTLB
- * sizing, lane capping), SPDK-target raw-region mapping, and the
- * refusal paths.
+ * counters — plus cross-configuration replay (engine override,
+ * walk-cache sizing, lane capping), SPDK-target raw-region mapping,
+ * and the refusal paths.
  */
 
 #include <cstdio>
@@ -62,8 +62,10 @@ roundTripLoad(const CapturedRun &cap, const std::string &tag)
 {
     const std::string path
         = ::testing::TempDir() + "bpd_replay_" + tag + ".json";
-    EXPECT_TRUE(obs::writeChromeTraceFile(
-        path, {obs::TraceProcess{tag, &cap.data, &cap.meta}}));
+    obs::TraceWriter w;
+    EXPECT_TRUE(w.open(path));
+    w.append(tag, cap.data, &cap.meta);
+    EXPECT_TRUE(w.close());
 
     obs::RecordedTrace trace;
     std::string err;
@@ -173,7 +175,6 @@ TEST(ReplayCrossConfig, BypassdStreamUnderIoUring)
 
     obs::ReplayOptions opt;
     opt.engine = static_cast<int>(wl::Engine::IoUring);
-    opt.iotlbEntries = 64;
     obs::ReplayResult res;
     std::string err;
     ASSERT_TRUE(obs::replayRun(rec, opt, res, err)) << err;
@@ -187,22 +188,25 @@ TEST(ReplayCrossConfig, BypassdStreamUnderIoUring)
             EXPECT_EQ(v, 0u);
 }
 
-TEST(ReplayCrossConfig, IotlbSizingChangesTimingOnly)
+TEST(ReplayCrossConfig, WalkCacheSizingChangesTimingOnly)
 {
-    const CapturedRun cap = captureFio(
-        smallJob(wl::Engine::Bypassd, wl::RwMode::RandRead));
-    const obs::RecordedProcess rec = roundTripLoad(cap, "iotlb");
+    // Two 8 MiB files span 8 walk-cache regions (2 MiB each), more
+    // than a 4-entry walk cache holds.
+    wl::FioJob job = smallJob(wl::Engine::Bypassd, wl::RwMode::RandRead);
+    job.fileBytes = 8ull << 20;
+    const CapturedRun cap = captureFio(job);
+    const obs::RecordedProcess rec = roundTripLoad(cap, "walk_cache");
 
     obs::ReplayOptions opt;
-    opt.iotlbEntries = 4;
-    opt.iotlbWays = 2;
+    opt.walkCacheEntries = 4;
     obs::ReplayResult res;
     std::string err;
     ASSERT_TRUE(obs::replayRun(rec, opt, res, err)) << err;
     obs::ReplayResult base;
     ASSERT_TRUE(obs::replayRun(rec, {}, base, err)) << err;
+    // The same ops, re-timed: upper-level walks now miss the cache.
     EXPECT_EQ(res.ops, base.ops);
-    EXPECT_GE(res.simNs, base.simNs); // a tiny IOTLB cannot be faster
+    EXPECT_NE(res.digest, base.digest);
 }
 
 TEST(ReplayCrossConfig, LaneCapReplaysSubset)
@@ -465,8 +469,10 @@ TEST(ReplayLoad, U64FieldsRoundTripExactly)
 
     const std::string path
         = ::testing::TempDir() + "bpd_replay_u64.json";
-    ASSERT_TRUE(obs::writeChromeTraceFile(
-        path, {obs::TraceProcess{"u64", &data, &meta}}));
+    obs::TraceWriter w;
+    ASSERT_TRUE(w.open(path));
+    w.append("u64", data, &meta);
+    ASSERT_TRUE(w.close());
     obs::RecordedTrace trace;
     std::string err;
     ASSERT_TRUE(obs::loadRecordedTrace(path, trace, err)) << err;

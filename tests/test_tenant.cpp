@@ -264,8 +264,10 @@ TEST(TenantReplay, StreamCarriesTenantAndRoundTrips)
 
     const std::string path
         = ::testing::TempDir() + "bpd_tenant_replay.json";
-    ASSERT_TRUE(obs::writeChromeTraceFile(
-        path, {obs::TraceProcess{"tenant", &data, &meta}}));
+    obs::TraceWriter w;
+    ASSERT_TRUE(w.open(path));
+    w.append("tenant", data, &meta);
+    ASSERT_TRUE(w.close());
     obs::RecordedTrace trace;
     std::string err;
     ASSERT_TRUE(obs::loadRecordedTrace(path, trace, err)) << err;

@@ -1,7 +1,7 @@
 /**
  * @file
  * trace_replay: re-drive the replay streams embedded in a trace file
- * produced by the bench binaries' --trace flag (obs::writeChromeTrace).
+ * produced by the bench binaries' --trace flag (obs::TraceWriter).
  *
  *   trace_replay TRACE.json [options]
  *
@@ -23,8 +23,6 @@
  *                           instead of replaying them as no-op
  *                           barriers
  *   --lanes N               replay only the first N lanes
- *   --iotlb-entries N       IOTLB capacity override
- *   --iotlb-ways N          IOTLB associativity override
  *   --walk-cache-entries N  walk-cache capacity override
  *   --ssd-read-ns N         SSD read base latency override
  *   --ssd-write-ns N        SSD write base latency override
@@ -61,9 +59,7 @@ usage(const char *argv0)
                  "          [--out FILE] [--emit-capture FILE]\n"
                  "          [--engine sync|libaio|io_uring|spdk|bypassd]"
                  " [--strict]\n"
-                 "          [--lanes N]\n"
-                 "          [--iotlb-entries N] [--iotlb-ways N] "
-                 "[--walk-cache-entries N]\n"
+                 "          [--lanes N] [--walk-cache-entries N]\n"
                  "          [--ssd-read-ns N] [--ssd-write-ns N]\n",
                  argv0);
     return 2;
@@ -171,12 +167,6 @@ main(int argc, char **argv)
         } else if (a == "--lanes" && i + 1 < argc) {
             opt.lanes = static_cast<std::uint32_t>(
                 std::atoll(argv[++i]));
-        } else if (a == "--iotlb-entries") {
-            if (!val(opt.iotlbEntries))
-                return usage(argv[0]);
-        } else if (a == "--iotlb-ways") {
-            if (!val(opt.iotlbWays))
-                return usage(argv[0]);
         } else if (a == "--walk-cache-entries") {
             if (!val(opt.walkCacheEntries))
                 return usage(argv[0]);
