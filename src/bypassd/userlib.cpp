@@ -42,8 +42,8 @@ UserLib::UserLib(kern::Kernel &kernel, BypassdModule &module,
 
 UserLib::~UserLib()
 {
-    for (auto &[tid, tc] : threads_) {
-        for (auto &[slot, q] : tc.uq) {
+    for (auto &perSlot : queues_) {
+        for (auto &q : perSlot) {
             if (q)
                 module_.destroyUserQueues(proc_, *q);
         }
@@ -54,8 +54,12 @@ UserLib::~UserLib()
 UserQueues &
 UserLib::uq(Tid tid, std::size_t slot)
 {
-    ThreadCtx &tc = threads_[tid];
-    std::unique_ptr<UserQueues> &q = tc.uq[slot];
+    if (tid >= queues_.size())
+        queues_.resize(std::size_t{tid} + 1);
+    auto &perSlot = queues_[tid];
+    if (slot >= perSlot.size())
+        perSlot.resize(slot + 1);
+    std::unique_ptr<UserQueues> &q = perSlot[slot];
     if (!q) {
         q = module_.createUserQueues(proc_, cfg_.queueDepth,
                                      cfg_.dmaBufBytes, slot);
@@ -74,15 +78,17 @@ UserLib::prepareThread(Tid tid, std::size_t slot)
 UserLib::FileInfo *
 UserLib::info(int fd)
 {
-    auto it = files_.find(fd);
-    return it == files_.end() ? nullptr : &it->second;
+    return fd >= 0 && static_cast<std::size_t>(fd) < files_.size()
+               ? files_[fd].get()
+               : nullptr;
 }
 
 const UserLib::FileInfo *
 UserLib::info(int fd) const
 {
-    auto it = files_.find(fd);
-    return it == files_.end() ? nullptr : &it->second;
+    return fd >= 0 && static_cast<std::size_t>(fd) < files_.size()
+               ? files_[fd].get()
+               : nullptr;
 }
 
 std::uint64_t
@@ -128,7 +134,9 @@ UserLib::open(const std::string &path, std::uint32_t flags,
                 fi.slot = res.slot;
                 fi.direct = res.vba != 0;
                 fi.preallocEnd = fi.size;
-                files_[fd] = std::move(fi);
+                if (static_cast<std::size_t>(fd) >= files_.size())
+                    files_.resize(static_cast<std::size_t>(fd) + 1);
+                files_[fd] = std::make_unique<FileInfo>(std::move(fi));
                 cb(fd);
             });
         });
@@ -140,7 +148,7 @@ UserLib::close(int fd, kern::IntCb cb)
     FileInfo *fi = info(fd);
     if (fi) {
         module_.funmap(proc_, fi->ino);
-        files_.erase(fd);
+        files_[fd].reset();
     }
     kernel_.sysClose(proc_, fd, std::move(cb));
 }
@@ -365,7 +373,7 @@ UserLib::nonBlockingWrite(Tid tid, int fd,
         cmd.hostBuf = std::span<std::uint8_t>(pw->data.data(),
                                               pw->data.size());
         cmd.trace = trace;
-        submitWithRetry(tid, fi2->slot, cmd,
+        submitWithRetry(uq(tid, fi2->slot), cmd,
                         [this, fd, trace, issue, complete](
                             const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
@@ -449,7 +457,7 @@ UserLib::drainPendingWrites(int fd, std::function<void()> done)
 }
 
 void
-UserLib::submitWithRetry(Tid tid, std::size_t slot, const ssd::Command &cmd,
+UserLib::submitWithRetry(UserQueues &q, const ssd::Command &cmd,
                          ssd::CommandDispatcher::CompletionFn &&fn)
 {
     // QoS gate on the direct path: data commands charge the process's
@@ -458,22 +466,21 @@ UserLib::submitWithRetry(Tid tid, std::size_t slot, const ssd::Command &cmd,
     // IOPS/bytes only.
     const bool data = cmd.op == ssd::Op::Read || cmd.op == ssd::Op::Write;
     qos::admit(data ? kernel_.qos() : nullptr, proc_.pasid(), 1, cmd.len,
-               [this, tid, slot, cmd, fn = std::move(fn)]() mutable {
-                   submitNow(tid, slot, cmd, std::move(fn));
+               [this, q = &q, cmd, fn = std::move(fn)]() mutable {
+                   submitNow(*q, cmd, std::move(fn));
                });
 }
 
 void
-UserLib::submitNow(Tid tid, std::size_t slot, const ssd::Command &cmd,
+UserLib::submitNow(UserQueues &q, const ssd::Command &cmd,
                    ssd::CommandDispatcher::CompletionFn &&fn)
 {
-    UserQueues &q = uq(tid, slot);
     if (q.dispatcher->submit(cmd, std::move(fn)))
         return;
     // SQ full: the refused submit left fn intact; poll and retry shortly.
-    kernel_.eq().after(500, [this, tid, slot, cmd,
+    kernel_.eq().after(500, [this, q = &q, cmd,
                              fn = std::move(fn)]() mutable {
-        submitNow(tid, slot, cmd, std::move(fn));
+        submitNow(*q, cmd, std::move(fn));
     });
 }
 
@@ -562,16 +569,16 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
     const std::uint64_t aStart = alignDown(off, kSectorBytes);
     const std::uint64_t aEnd = alignUp(off + n, kSectorBytes);
     const std::uint32_t len = static_cast<std::uint32_t>(aEnd - aStart);
-    const std::size_t slot = fi->slot;
-    sim::panicIf(len > uq(tid, slot).dmaBuf.size(),
-                 "request exceeds DMA buffer");
+    // One queue lookup per attempt: the stages below keep the queue.
+    UserQueues *q = &uq(tid, fi->slot);
+    sim::panicIf(len > q->dmaBuf.size(), "request exceeds DMA buffer");
 
     directReads_++;
     // Each stage moves the caller's callback on: the lambdas are
     // mutable, or std::move(cb) would copy it.
     const Time submitCost = kernel_.cpu().scaled(c.userlibSubmitNs);
     kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, aStart,
-                                    len, slot, start, trace,
+                                    len, q, start, trace,
                                     cb = std::move(cb)]() mutable {
         FileInfo *fi = info(fd);
         if (!fi) {
@@ -583,12 +590,12 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
         cmd.addr = fi->vba + aStart;
         cmd.addrIsVba = true;
         cmd.len = len;
-        cmd.dmaIova = uq(tid, slot).dmaIova;
+        cmd.dmaIova = q->dmaIova;
         cmd.useIova = true;
         cmd.trace = trace;
         const Time tSubmit = kernel_.eq().now();
-        submitWithRetry(tid, slot, cmd,
-                        [this, tid, fd, buf, off, n, aStart, slot,
+        submitWithRetry(*q, cmd,
+                        [this, tid, fd, buf, off, n, aStart, q,
                          start, tSubmit, trace, cb = std::move(cb)](
                             const ssd::Completion &comp) mutable {
             if (comp.status != ssd::Status::Success) {
@@ -608,8 +615,8 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
             const kern::CostModel &c = kernel_.costs();
             const Time post = kernel_.cpu().scaled(c.userlibCompleteNs
                                                    + c.copyCost(n));
-            std::memcpy(buf.data(),
-                        uq(tid, slot).dmaBuf.data() + (off - aStart), n);
+            std::memcpy(buf.data(), q->dmaBuf.data() + (off - aStart),
+                        n);
             // touch() is deferred to close/fsync (Section 4.4); nothing
             // to do per-op.
             kernel_.eq().after(post, [this, n, start, tSubmit, comp,
@@ -636,16 +643,15 @@ UserLib::directOverwrite(Tid tid, int fd,
     const Time start = kernel_.eq().now();
     const std::uint64_t n = buf.size();
     const kern::CostModel &c = kernel_.costs();
-    const std::size_t slot = fi->slot;
-    UserQueues &q = uq(tid, slot);
-    sim::panicIf(n > q.dmaBuf.size(), "request exceeds DMA buffer");
+    UserQueues *q = &uq(tid, fi->slot);
+    sim::panicIf(n > q->dmaBuf.size(), "request exceeds DMA buffer");
 
     directWrites_++;
     // Copy user data into the pinned DMA buffer, then submit.
     const Time submitCost
         = kernel_.cpu().scaled(c.userlibSubmitNs + c.copyCost(n));
-    std::memcpy(q.dmaBuf.data(), buf.data(), n);
-    kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, slot,
+    std::memcpy(q->dmaBuf.data(), buf.data(), n);
+    kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, q,
                                     start, trace,
                                     cb = std::move(cb)]() mutable {
         FileInfo *fi = info(fd);
@@ -658,11 +664,11 @@ UserLib::directOverwrite(Tid tid, int fd,
         cmd.addr = fi->vba + off;
         cmd.addrIsVba = true;
         cmd.len = static_cast<std::uint32_t>(n);
-        cmd.dmaIova = uq(tid, slot).dmaIova;
+        cmd.dmaIova = q->dmaIova;
         cmd.useIova = true;
         cmd.trace = trace;
         const Time tSubmit = kernel_.eq().now();
-        submitWithRetry(tid, slot, cmd,
+        submitWithRetry(*q, cmd,
                         [this, tid, fd, buf, off, n, start, tSubmit,
                          trace, cb = std::move(cb)](
                             const ssd::Completion &comp) mutable {
@@ -724,9 +730,8 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
     const std::uint64_t aStart = firstSec * kSectorBytes;
     const std::uint64_t aEnd = (lastSec + 1) * kSectorBytes;
     const std::uint32_t len = static_cast<std::uint32_t>(aEnd - aStart);
-    const std::size_t slot = fi->slot;
-    sim::panicIf(len > uq(tid, slot).dmaBuf.size(),
-                 "RMW exceeds DMA buffer");
+    UserQueues *q = &uq(tid, fi->slot);
+    sim::panicIf(len > q->dmaBuf.size(), "RMW exceeds DMA buffer");
 
     auto data = std::make_shared<std::vector<std::uint8_t>>(buf.begin(),
                                                             buf.end());
@@ -747,8 +752,8 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
     const Time submitCost
         = kernel_.cpu().scaled(kernel_.costs().userlibSubmitNs);
     directWrites_++;
-    kernel_.eq().after(submitCost, [this, tid, fd, data, off, aStart, len,
-                                    slot, start, trace, finish]() {
+    kernel_.eq().after(submitCost, [this, fd, data, off, aStart, len, q,
+                                    start, trace, finish]() {
         FileInfo *fi2 = info(fd);
         if (!fi2 || !fi2->direct) {
             // Revoked meanwhile: fall back through the kernel.
@@ -763,12 +768,11 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
         rd.addr = fi2->vba + aStart;
         rd.addrIsVba = true;
         rd.len = len;
-        rd.dmaIova = uq(tid, slot).dmaIova;
+        rd.dmaIova = q->dmaIova;
         rd.useIova = true;
         rd.trace = trace;
-        submitWithRetry(tid, slot, rd,
-                        [this, tid, fd, data, off, aStart, len, slot,
-                         start, trace,
+        submitWithRetry(*q, rd,
+                        [this, fd, data, off, aStart, len, q, start, trace,
                          finish](const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
                 handleFault(
@@ -798,13 +802,12 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                 return;
             }
             // Modify the staged sectors with the user bytes.
-            std::memcpy(uq(tid, slot).dmaBuf.data() + (off - aStart),
-                        data->data(), data->size());
+            std::memcpy(q->dmaBuf.data() + (off - aStart), data->data(),
+                        data->size());
             const Time modCost = kernel_.cpu().scaled(
                 kernel_.costs().copyCost(data->size()));
-            kernel_.eq().after(modCost, [this, tid, fd, data, off, aStart,
-                                         len, slot, start, trace,
-                                         finish]() {
+            kernel_.eq().after(modCost, [this, fd, data, off, aStart, len,
+                                         q, start, trace, finish]() {
                 FileInfo *fi4 = info(fd);
                 if (!fi4) {
                     finish(kern::errOf(fs::FsStatus::Inval),
@@ -816,10 +819,10 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                 wr.addr = fi4->vba + aStart;
                 wr.addrIsVba = true;
                 wr.len = len;
-                wr.dmaIova = uq(tid, slot).dmaIova;
+                wr.dmaIova = q->dmaIova;
                 wr.useIova = true;
                 wr.trace = trace;
-                submitWithRetry(tid, slot, wr,
+                submitWithRetry(*q, wr,
                                 [this, data, start, finish](
                                     const ssd::Completion &c2) {
                     kern::IoTrace tr;
@@ -953,7 +956,7 @@ UserLib::fsync(Tid tid, int fd, kern::IntCb cb)
         ssd::Command cmd;
         cmd.op = ssd::Op::Flush;
         cmd.addrIsVba = false;
-        submitWithRetry(tid, slot, cmd,
+        submitWithRetry(uq(tid, slot), cmd,
                         [this, fd, cb](const ssd::Completion &) {
             kernel_.sysFsync(proc_, fd, cb);
         });

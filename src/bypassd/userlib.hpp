@@ -140,13 +140,10 @@ class UserLib
         std::vector<std::function<void()>> drainWaiters;
     };
 
-    struct ThreadCtx
-    {
-        /** Queue pair + DMA buffer per device slot the thread touches. */
-        std::map<std::size_t, std::unique_ptr<UserQueues>> uq;
-    };
-
-    /** The (thread, device-slot) queue pair, created lazily. */
+    /**
+     * The (thread, device-slot) queue pair, created lazily. Queues live
+     * until ~UserLib, so a stage may keep the reference across events.
+     */
     UserQueues &uq(Tid tid, std::size_t slot);
     FileInfo *info(int fd);
     const FileInfo *info(int fd) const;
@@ -198,9 +195,9 @@ class UserLib
                      std::function<void()> fallbackKernel,
                      obs::TraceId trace = 0);
 
-    void submitWithRetry(Tid tid, std::size_t slot, const ssd::Command &cmd,
+    void submitWithRetry(UserQueues &q, const ssd::Command &cmd,
                          ssd::CommandDispatcher::CompletionFn &&fn);
-    void submitNow(Tid tid, std::size_t slot, const ssd::Command &cmd,
+    void submitNow(UserQueues &q, const ssd::Command &cmd,
                    ssd::CommandDispatcher::CompletionFn &&fn);
 
     kern::Kernel &kernel_;
@@ -208,8 +205,18 @@ class UserLib
     kern::Process &proc_;
     UserLibConfig cfg_;
 
-    std::map<int, FileInfo> files_;
-    std::map<Tid, ThreadCtx> threads_;
+    /**
+     * Open files indexed by fd. The kernel numbers a process's fds from
+     * 3 and never reuses one, so the table only grows; a closed (or
+     * never BypassD-opened) fd's entry is empty.
+     */
+    std::vector<std::unique_ptr<FileInfo>> files_;
+    /**
+     * Queue pair + DMA buffer per thread, then per device slot the
+     * thread touches, indexed by tid and slot (tids are small thread
+     * indices).
+     */
+    std::vector<std::vector<std::unique_ptr<UserQueues>>> queues_;
 
     std::uint64_t directReads_ = 0;
     std::uint64_t directWrites_ = 0;

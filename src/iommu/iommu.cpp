@@ -163,6 +163,14 @@ Iommu::translateVbaInto(Pasid pasid, Vaddr vba, std::uint32_t len,
 }
 
 void
+Iommu::prefetchVba(Pasid pasid, Vaddr vba) const
+{
+    const auto it = pasidTable_.find(pasid);
+    if (it != pasidTable_.end() && it->second != nullptr)
+        it->second->prefetchLeaf(vba);
+}
+
+void
 Iommu::translateVba(Pasid pasid, Vaddr vba, std::uint32_t len, bool isWrite,
                     DevId requester, std::function<void(TransResult)> done)
 {

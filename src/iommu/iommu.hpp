@@ -126,6 +126,17 @@ class Iommu
                           bool isWrite, DevId requester, TransResult &out);
 
     /**
+     * Host-only hint, given when a VBA command enters its submission
+     * queue: prefetch the leaf FTE line that translating @p vba will
+     * read, so the walk at dispatch does not wait on a cache miss. It
+     * changes no simulated state: not the walk cache (its LRU order or
+     * hit counters), not framesRead() or vbaTranslations(), not the
+     * tenant rows and not the page table. An unbound PASID or an
+     * unmapped VBA is ignored.
+     */
+    void prefetchVba(Pasid pasid, Vaddr vba) const;
+
+    /**
      * Invalidate cached translation state for a VBA range (issued by the
      * kernel when FTEs are detached, Section 3.6).
      */

@@ -1,5 +1,8 @@
 #include "mem/page_table.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hpp"
 
 namespace bpd::mem {
@@ -47,8 +50,12 @@ PageTable::set(Vaddr va, Pte pte)
 {
     invalidateWalkCache();
     Frame cur = root_;
-    for (unsigned level = 3; level >= 1; level--)
+    for (unsigned level = 3; level >= 1; level--) {
+        const std::size_t before = owned_.size();
         cur = ensureChild(cur, ptIndex(va, level), true);
+        if (level == 1 && owned_.size() != before)
+            leafTables_++;
+    }
     fa_.table(cur)[ptIndex(va, 0)] = pte;
 }
 
@@ -113,6 +120,7 @@ PageTable::attachTable(Vaddr va, unsigned level, Frame table, bool writable)
                  "attach target entry already present");
     tbl[idx] = makeTableEntry(table, writable);
     writes++;
+    leafTables_ += level == 1 ? 1 : kPte;
     return writes;
 }
 
@@ -132,6 +140,8 @@ PageTable::detachTable(Vaddr va, unsigned level)
     if (!isPresent(tbl[idx]))
         return false;
     tbl[idx] = 0;
+    leafTables_ -= std::min<std::size_t>(leafTables_,
+                                          level == 1 ? 1 : kPte);
     return true;
 }
 
@@ -148,24 +158,36 @@ PageTable::entryAt(Vaddr va, unsigned level) const
     return fa_.table(cur)[ptIndex(va, level)];
 }
 
+PageTable::LeafCacheEntry &
+PageTable::leafCacheEntry(Vaddr region) const
+{
+    const std::size_t want = std::min(
+        kMaxLeafCacheEntries,
+        std::bit_ceil(std::max<std::size_t>(leafTables_, 1)));
+    if (leafCache_.size() < want) [[unlikely]]
+        leafCache_.assign(want, LeafCacheEntry{});
+    return leafCache_[region & (leafCache_.size() - 1)];
+}
+
 PageTable::Walk
 PageTable::walk(Vaddr va) const
 {
     Walk w;
     const Vaddr region = va >> 21;
-    if (cachedGen_ == mutGen_ && cachedRegion_ == region) {
+    LeafCacheEntry &c = leafCacheEntry(region);
+    if (c.gen == mutGen_ && c.region == region) {
         // Fast path: upper three levels unchanged since last resolved;
         // only the leaf entry needs reading. framesRead reports the full
         // walk so modeled timing matches the uncached path exactly.
         w.framesRead = 4;
-        const Pte e = fa_.table(cachedLeafTable_)[ptIndex(va, 0)];
+        const Pte e = fa_.table(c.leafTable)[ptIndex(va, 0)];
         if (!isPresent(e)) {
             w.present = false;
             w.writable = false;
             return w;
         }
         w.present = true;
-        w.writable = cachedUpperWritable_ && isWritable(e);
+        w.writable = c.upperWritable && isWritable(e);
         w.leaf = e;
         return w;
     }
@@ -192,14 +214,34 @@ PageTable::walk(Vaddr va) const
             w.leaf = e;
             return w;
         }
-        if (level == 1) {
-            cachedGen_ = mutGen_;
-            cachedRegion_ = region;
-            cachedLeafTable_ = frameOf(e);
-            cachedUpperWritable_ = w.writable;
-        }
+        if (level == 1)
+            c = LeafCacheEntry{mutGen_, region, frameOf(e), w.writable};
         cur = frameOf(e);
     }
+}
+
+void
+PageTable::prefetchLeaf(Vaddr va) const
+{
+    const Vaddr region = va >> 21;
+    Frame leaf = kNullFrame;
+    if (!leafCache_.empty()) {
+        const LeafCacheEntry &c
+            = leafCache_[region & (leafCache_.size() - 1)];
+        if (c.gen == mutGen_ && c.region == region)
+            leaf = c.leafTable;
+    }
+    if (leaf == kNullFrame) {
+        Frame cur = root_;
+        for (unsigned level = 3; level >= 1; level--) {
+            const Pte e = fa_.table(cur)[ptIndex(va, level)];
+            if (!isPresent(e) || isFte(e))
+                return;
+            cur = frameOf(e);
+        }
+        leaf = cur;
+    }
+    __builtin_prefetch(fa_.table(leaf) + ptIndex(va, 0));
 }
 
 } // namespace bpd::mem

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "common/types.hpp"
 #include "mem/frame_allocator.hpp"
@@ -92,34 +93,66 @@ class PageTable
     /** Walk the tree for @p va. */
     Walk walk(Vaddr va) const;
 
+    /**
+     * Host-only hint: prefetch the leaf-entry cache line that walk(@p va)
+     * will read. Reads the tree (through the leaf-table cache when it
+     * holds the region) but changes nothing: no entry, no cache state,
+     * no counter. Non-present paths are ignored.
+     */
+    void prefetchLeaf(Vaddr va) const;
+
     /** Frames privately owned by this table (root included). */
     std::size_t ownedFrames() const { return owned_.size(); }
+
+    /** Most entries the walker's leaf-table cache grows to. */
+    static constexpr std::size_t kMaxLeafCacheEntries = 4096;
 
   private:
     Frame childOf(Frame parent, unsigned idx) const;
     Frame ensureChild(Frame parent, unsigned idx, bool writable);
 
-    /** Invalidate the walker's cached upper path after any mutation. */
+    /** Invalidate the walker's cached upper paths after any mutation. */
     void invalidateWalkCache() { mutGen_++; }
+
+    /**
+     * Host-side leaf-table cache: a direct-mapped table from a 2 MiB
+     * region (va >> 21) to the leaf table its upper three levels
+     * resolve to, so walk() reads only the leaf entry. An entry is valid
+     * while its gen equals mutGen_: every structural mutation bumps
+     * mutGen_, which invalidates all entries at once. It stores frame
+     * numbers, so FrameAllocator's liveness check still guards each
+     * leaf access, and leaf entries are read fresh each walk, so shared
+     * file-table frames updated behind our back stay coherent.
+     * framesRead still reports the full 4-level cost, keeping the
+     * simulated timing identical. This is a host speed-up only; the
+     * IOMMU's simulated walk cache is separate.
+     */
+    struct LeafCacheEntry
+    {
+        std::uint64_t gen = 0; //!< mutGen_ at fill (0 never matches)
+        Vaddr region = 0;      //!< va >> 21
+        Frame leafTable = kNullFrame;
+        bool upperWritable = false; //!< AND of R/W above the leaf
+    };
+
+    /**
+     * The cache entry for @p region. The cache is allocated on the
+     * first walk and sized to the leaf tables reachable (a power of
+     * two up to kMaxLeafCacheEntries), so a Fig. 9 reader set spread
+     * over thousands of regions maps one region per entry while a page
+     * table that is never walked costs nothing.
+     */
+    LeafCacheEntry &leafCacheEntry(Vaddr region) const;
 
     FrameAllocator &fa_;
     Frame root_;
     std::unordered_set<Frame> owned_;
 
-    /**
-     * One-entry walker cache of the last resolved upper path (PGD->PMD):
-     * for the cached 2 MiB region, walk() jumps straight to the leaf
-     * table. Sequential VBA sweeps (Figs. 8/9) hit it almost always.
-     * Leaf entries are read fresh each walk, so shared file-table frames
-     * updated behind our back stay coherent; structural mutations bump
-     * mutGen_ which invalidates the cache. framesRead still reports the
-     * full 4-level cost, keeping the simulated timing identical.
-     */
     std::uint64_t mutGen_ = 1;
-    mutable std::uint64_t cachedGen_ = 0;
-    mutable Vaddr cachedRegion_ = 0;   //!< va >> 21
-    mutable Frame cachedLeafTable_ = kNullFrame;
-    mutable bool cachedUpperWritable_ = false;
+    /** Leaf tables reachable: attached (a PUD-level attach brings
+     *  kPte) or built by set(); sizes the leaf-table cache. */
+    std::size_t leafTables_ = 0;
+    mutable std::vector<LeafCacheEntry> leafCache_;
 };
 
 } // namespace bpd::mem

@@ -22,71 +22,7 @@ makeId(std::uint32_t slot, std::uint32_t gen)
 } // namespace
 
 std::uint32_t
-EventQueue::allocSlot()
-{
-    if (freeHead_ != kNilSlot) {
-        const std::uint32_t s = freeHead_;
-        freeHead_ = slots_[s].nextFree;
-        return s;
-    }
-    panicIf(slots_.size() >= kNilSlot, "event slab exhausted");
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void
-EventQueue::releaseSlot(std::uint32_t slot)
-{
-    Slot &s = slots_[slot];
-    s.cb.reset();
-    s.armed = false;
-    s.gen++; // stale every outstanding id naming this slot
-    s.nextFree = freeHead_;
-    freeHead_ = slot;
-}
-
-void
-EventQueue::heapPush(const HeapEntry &e)
-{
-    heap_.push_back(e);
-    std::size_t i = heap_.size() - 1;
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 4;
-        if (!earlier(heap_[i], heap_[parent]))
-            break;
-        std::swap(heap_[i], heap_[parent]);
-        i = parent;
-    }
-}
-
-EventQueue::HeapEntry
-EventQueue::heapPop()
-{
-    const HeapEntry top = heap_[0];
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    std::size_t i = 0;
-    for (;;) {
-        const std::size_t first = 4 * i + 1;
-        if (first >= n)
-            break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + 4, n);
-        for (std::size_t c = first + 1; c < last; c++) {
-            if (earlier(heap_[c], heap_[best]))
-                best = c;
-        }
-        if (!earlier(heap_[best], heap_[i]))
-            break;
-        std::swap(heap_[i], heap_[best]);
-        i = best;
-    }
-    return top;
-}
-
-EventId
-EventQueue::schedule(Time when, Callback cb)
+EventQueue::claimSlot(Time when)
 {
     if (when < now_) [[unlikely]] {
 #ifdef BPD_DEBUG_PAST_SCHEDULE
@@ -100,19 +36,84 @@ EventQueue::schedule(Time when, Callback cb)
                    (unsigned long long)when,
                    (unsigned long long)now_));
     }
-    const std::uint32_t slot = allocSlot();
-    Slot &s = slots_[slot];
-    s.cb = std::move(cb);
+    if (freeHead_ != kNilSlot) {
+        const std::uint32_t s = freeHead_;
+        freeHead_ = slotAt(s).nextFree;
+        return s;
+    }
+    panicIf(slotCount_ >= (1u << kSlotBits), "event slab exhausted");
+    if (slotCount_ % kSlabChunkSlots == 0)
+        chunks_.push_back(std::make_unique<Slot[]>(kSlabChunkSlots));
+    return slotCount_++;
+}
+
+EventId
+EventQueue::arm(std::uint32_t slot, Time when)
+{
+    panicIf(nextSeq_ >> (64 - kSlotBits) != 0,
+            "event sequence numbers exhausted");
+    Slot &s = slotAt(slot);
     s.armed = true;
-    heapPush(HeapEntry{when, nextSeq_++, slot});
+    heapPush(HeapEntry{when, (nextSeq_++ << kSlotBits) | slot});
     live_++;
     return makeId(slot, s.gen);
 }
 
-EventId
-EventQueue::after(Time delay, Callback cb)
+void
+EventQueue::releaseSlot(std::uint32_t slot)
 {
-    return schedule(now_ + delay, std::move(cb));
+    Slot &s = slotAt(slot);
+    s.cb.reset();
+    s.armed = false;
+    s.gen++; // stale every outstanding id naming this slot
+    s.nextFree = freeHead_;
+    freeHead_ = slot;
+}
+
+void
+EventQueue::heapPush(HeapEntry e)
+{
+    // Move the hole up from the new leaf and write e once at the end.
+    std::size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (!earlier(e, heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = e;
+}
+
+EventQueue::HeapEntry
+EventQueue::heapPop()
+{
+    // Move the hole down from the root and drop the last entry in.
+    const HeapEntry top = heap_[0];
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0)
+        return top;
+    std::size_t i = 0;
+    for (;;) {
+        const std::size_t first = 4 * i + 1;
+        if (first >= n)
+            break;
+        std::size_t best = first;
+        const std::size_t end = std::min(first + 4, n);
+        for (std::size_t c = first + 1; c < end; c++) {
+            if (earlier(heap_[c], heap_[best]))
+                best = c;
+        }
+        if (!earlier(heap_[best], last))
+            break;
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = last;
+    return top;
 }
 
 bool
@@ -121,10 +122,10 @@ EventQueue::cancel(EventId id)
     if (id == kNoEvent)
         return false;
     const std::uint64_t slotPlus1 = id >> 32;
-    if (slotPlus1 == 0 || slotPlus1 > slots_.size())
+    if (slotPlus1 == 0 || slotPlus1 > slotCount_)
         return false;
-    const std::uint32_t slot = static_cast<std::uint32_t>(slotPlus1 - 1);
-    Slot &s = slots_[slot];
+    Slot &s = slotAt(static_cast<std::uint32_t>(slotPlus1 - 1));
+    // A running event is no longer armed: its own id cannot cancel it.
     if (!s.armed || s.gen != static_cast<std::uint32_t>(id))
         return false;
     // The heap entry stays behind as a zombie and is discarded (and the
@@ -136,22 +137,33 @@ EventQueue::cancel(EventId id)
     return true;
 }
 
+void
+EventQueue::dropCancelledHeads()
+{
+    while (!heap_.empty() && !slotAt(slotOf(heap_[0])).armed)
+        releaseSlot(slotOf(heapPop()));
+}
+
 bool
 EventQueue::popAndRun()
 {
     while (!heap_.empty()) {
         const HeapEntry e = heapPop();
-        Slot &s = slots_[e.slot];
+        const std::uint32_t slot = slotOf(e);
+        Slot &s = slotAt(slot);
         if (!s.armed) { // cancelled; reclaim the zombie slot
-            releaseSlot(e.slot);
+            releaseSlot(slot);
             continue;
         }
         now_ = e.when;
         executed_++;
         live_--;
-        Callback cb = std::move(s.cb);
-        releaseSlot(e.slot); // before invoking: callbacks may schedule
-        cb();
+        // Run in place. The slot is off the free list until the
+        // callback returns, and chunks never move, so the callback may
+        // schedule (or run) any number of events meanwhile.
+        s.armed = false;
+        s.cb();
+        releaseSlot(slot);
         return true;
     }
     return false;
@@ -176,8 +188,7 @@ EventQueue::runUntil(Time t)
     std::size_t n = 0;
     while (!heap_.empty()) {
         // Discard cancelled heads so the head's .when is meaningful.
-        while (!heap_.empty() && !slots_[heap_[0].slot].armed)
-            releaseSlot(heapPop().slot);
+        dropCancelledHeads();
         if (heap_.empty() || heap_[0].when > t)
             break;
         if (popAndRun())
@@ -191,8 +202,7 @@ EventQueue::runUntil(Time t)
 Time
 EventQueue::nextEventTime()
 {
-    while (!heap_.empty() && !slots_[heap_[0].slot].armed)
-        releaseSlot(heapPop().slot);
+    dropCancelledHeads();
     return heap_.empty() ? kNever : heap_[0].when;
 }
 

@@ -13,15 +13,22 @@
  *  - callback state lives in a slab of generation-stamped slots recycled
  *    through a free list; an EventId encodes (slot, generation), which
  *    makes cancel() an O(1) stamp check with no tombstone set;
+ *  - a callable handed to schedule()/after() is built directly in its
+ *    slot and runs there; the slot is recycled after it returns. The
+ *    slab grows in fixed-size chunks that never move, so a running
+ *    callback that schedules more events keeps its own storage;
  *  - the ready queue is an implicit 4-ary min-heap of 16-byte entries
- *    (shallower than a binary heap, and four children share a cache
- *    line), ordered by (time, sequence) for deterministic FIFO ties.
+ *    (time, then sequence and slot packed in one word), so four fit in
+ *    a 64-byte cache line and a node's four children span at most two;
+ *    it is ordered by (time, sequence) for deterministic FIFO ties.
  */
 
 #ifndef BPD_SIM_EVENT_QUEUE_HPP
 #define BPD_SIM_EVENT_QUEUE_HPP
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -69,13 +76,26 @@ class EventQueue
     /**
      * Schedule a callback at an absolute virtual time.
      * @param when Absolute time; must be >= now().
-     * @param cb Callback to invoke.
+     * @param cb Callable to invoke (built in its slot), or a ready-made
+     *           Callback (moved in once).
      * @return Id usable with cancel().
      */
-    EventId schedule(Time when, Callback cb);
+    template <typename F>
+    EventId
+    schedule(Time when, F &&cb)
+    {
+        const std::uint32_t slot = claimSlot(when);
+        slotAt(slot).cb.emplace(std::forward<F>(cb));
+        return arm(slot, when);
+    }
 
     /** Schedule a callback @p delay nanoseconds from now. */
-    EventId after(Time delay, Callback cb);
+    template <typename F>
+    EventId
+    after(Time delay, F &&cb)
+    {
+        return schedule(now_ + delay, std::forward<F>(cb));
+    }
 
     /**
      * Cancel a pending event.
@@ -122,14 +142,29 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executed_; }
 
+    /**
+     * Slots per slab chunk (10 KiB); chunks are allocated whole and
+     * never move, and a queue holds as many as its peak of pending
+     * events needs.
+     */
+    static constexpr std::uint32_t kSlabChunkSlots = 64;
+
   private:
-    /** Ready-queue entry: 16 bytes, no callback payload. */
+    /** Low bits of HeapEntry::order holding the slot index. */
+    static constexpr unsigned kSlotBits = 24;
+
+    /**
+     * Ready-queue entry: 16 bytes, no callback payload. order is the
+     * schedule sequence number above the slot index; sequence numbers
+     * are unique, so comparing order compares sequence (same-time ties
+     * run FIFO) and the slot bits never decide.
+     */
     struct HeapEntry
     {
         Time when;
-        std::uint64_t seq; //!< schedule order; breaks same-time ties FIFO
-        std::uint32_t slot;
+        std::uint64_t order;
     };
+    static_assert(sizeof(HeapEntry) == 16);
 
     /** Slab slot owning one scheduled callback. */
     struct Slot
@@ -137,7 +172,7 @@ class EventQueue
         Callback cb;
         std::uint32_t gen = 1;  //!< bumped on release; stales old ids
         std::uint32_t nextFree = kNilSlot;
-        bool armed = false;     //!< scheduled and not cancelled
+        bool armed = false;     //!< scheduled, not cancelled, not running
     };
 
     static constexpr std::uint32_t kNilSlot = 0xffffffffu;
@@ -145,13 +180,31 @@ class EventQueue
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)
     {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        return a.when != b.when ? a.when < b.when : a.order < b.order;
     }
 
-    std::uint32_t allocSlot();
+    static std::uint32_t
+    slotOf(const HeapEntry &e)
+    {
+        return static_cast<std::uint32_t>(e.order
+                                          & ((1u << kSlotBits) - 1));
+    }
+
+    Slot &
+    slotAt(std::uint32_t slot)
+    {
+        return chunks_[slot / kSlabChunkSlots][slot % kSlabChunkSlots];
+    }
+
+    /** A free slot for an event at @p when (panics on the past). */
+    std::uint32_t claimSlot(Time when);
+    /** Queue the filled @p slot at @p when; returns its id. */
+    EventId arm(std::uint32_t slot, Time when);
     void releaseSlot(std::uint32_t slot);
-    void heapPush(const HeapEntry &e);
+    void heapPush(HeapEntry e);
     HeapEntry heapPop();
+    /** Recycle cancelled heads so heap_[0] (if any) is live. */
+    void dropCancelledHeads();
     bool popAndRun();
 
     Time now_ = 0;
@@ -159,7 +212,8 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::size_t live_ = 0;
     std::vector<HeapEntry> heap_; //!< implicit 4-ary min-heap
-    std::vector<Slot> slots_;
+    std::vector<std::unique_ptr<Slot[]>> chunks_; //!< the slot slab
+    std::uint32_t slotCount_ = 0;
     std::uint32_t freeHead_ = kNilSlot;
 };
 

@@ -43,15 +43,7 @@ class InlineFunction<R(Args...), InlineBytes>
                   && std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
     InlineFunction(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            vt_ = &inlineVtable<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(buf_)
-                = new Fn(std::forward<F>(f));
-            vt_ = &heapVtable<Fn>;
-        }
+        construct(std::forward<F>(f));
     }
 
     InlineFunction(InlineFunction &&other) noexcept { moveFrom(other); }
@@ -88,6 +80,25 @@ class InlineFunction<R(Args...), InlineBytes>
         }
     }
 
+    /**
+     * Fill this empty wrapper: a callable is built directly in the
+     * buffer, another InlineFunction is relocated in once. Lets a
+     * container construct its element in place instead of moving a
+     * temporary wrapper into it.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "move an InlineFunction in; it cannot be copied");
+            moveFrom(f);
+        } else {
+            construct(std::forward<F>(f));
+        }
+    }
+
   private:
     struct VTable
     {
@@ -95,6 +106,21 @@ class InlineFunction<R(Args...), InlineBytes>
         void (*relocate)(void *dst, void *src); //!< move + destroy src
         void (*destroy)(void *);
     };
+
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+            vt_ = &inlineVtable<Fn>;
+        } else {
+            *reinterpret_cast<Fn **>(buf_)
+                = new Fn(std::forward<F>(f));
+            vt_ = &heapVtable<Fn>;
+        }
+    }
 
     void
     moveFrom(InlineFunction &other) noexcept

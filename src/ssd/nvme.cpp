@@ -41,6 +41,10 @@ QueuePair::submit(const Command &cmd)
     Command c = cmd;
     if (dev_.trace_)
         c.enq = dev_.eq_.now();
+    // The command waits in the SQ for many host events before dispatch
+    // translates it; start loading its leaf FTE line now (host-only).
+    if (c.addrIsVba)
+        dev_.iommu_.prefetchVba(pasid_, c.addr);
     sq_.push_back(c);
     dev_.ring(qid_);
     return true;

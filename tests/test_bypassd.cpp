@@ -205,6 +205,40 @@ TEST_F(BypassdFixture, DirectReadMatchesData)
     EXPECT_GT(r.trace.translateNs, 300u);
 }
 
+TEST_F(BypassdFixture, CloseDuringSubmitStageFailsReadWithoutCommand)
+{
+    mkFile("/f", 1 << 20, 99);
+    const int fd = ulOpen(s, *lib, "/f", kOpenRead | kOpenDirect);
+    ASSERT_GE(fd, 0);
+    lib->prepareThread(0);
+    const std::uint64_t xlates0 = s.iommu.vbaTranslations();
+    const std::uint64_t readBytes0 = s.dev.readBytes();
+
+    // The read waits out userlibSubmitNs before it builds its command;
+    // the close lands in that window.
+    std::vector<std::uint8_t> buf(4096);
+    long long got = 1;
+    lib->pread(0, fd, buf, 0, [&](long long n, kern::IoTrace) { got = n; });
+    int rc = -1;
+    lib->close(fd, [&](int r) { rc = r; });
+    s.run();
+    EXPECT_EQ(got, kern::errOf(fs::FsStatus::Inval));
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(s.iommu.vbaTranslations(), xlates0); // no VBA command
+    EXPECT_EQ(s.dev.readBytes(), readBytes0);
+    EXPECT_FALSE(lib->isDirect(fd));
+
+    // A later open gets a fresh fd (fds are never reused) that reads.
+    const int fd2 = ulOpen(s, *lib, "/f", kOpenRead | kOpenDirect);
+    ASSERT_GT(fd2, fd);
+    EXPECT_TRUE(lib->isDirect(fd2));
+    auto r = ulPread(s, *lib, 0, fd2, buf, 8192);
+    EXPECT_EQ(r.n, 4096);
+    std::vector<std::uint8_t> expect(4096);
+    s.kernel.setupRead(*p, fd2, expect, 8192);
+    EXPECT_EQ(buf, expect);
+}
+
 TEST_F(BypassdFixture, DirectReadLatencyBeatsKernel)
 {
     mkFile("/f", 1 << 20, 99);

@@ -4,6 +4,11 @@
  * time monotonicity, runUntil semantics, FIFO among equal timestamps.
  */
 
+#include <algorithm>
+#include <array>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/coro.hpp"
@@ -206,6 +211,98 @@ TEST(EventQueue, ManyCancelledZombiesDrainCleanly)
     EXPECT_EQ(ran, 500);
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.executed(), 500u);
+}
+
+/**
+ * Callbacks run in place in their slab slot. A running callback that
+ * schedules more events than one slab chunk holds makes the slab grow
+ * under it; its own captures must stay intact (chunks never move; ASan
+ * would flag a relocated slot) and every event still runs in (time,
+ * seq) order.
+ */
+TEST(EventQueue, RunningCallbackOutgrowsSlabChunk)
+{
+    EventQueue eq;
+    const int n = 2 * static_cast<int>(EventQueue::kSlabChunkSlots) + 7;
+    std::vector<std::pair<Time, int>> ran;
+    std::array<std::uint64_t, 8> payload{};
+    for (std::size_t i = 0; i < payload.size(); i++)
+        payload[i] = 0x1000 + i;
+    std::uint64_t seenSum = 0;
+    eq.schedule(10, [&eq, &ran, &seenSum, payload, n]() {
+        for (int i = 0; i < n; i++) {
+            // Times 11..15 with many same-time ties, scheduled out of
+            // time order.
+            const Time when = 11 + static_cast<Time>((i * 7) % 5);
+            eq.schedule(when, [&ran, &eq, i]() {
+                ran.emplace_back(eq.now(), i);
+            });
+        }
+        for (std::uint64_t v : payload)
+            seenSum += v;
+    });
+    eq.run();
+
+    std::uint64_t wantSum = 0;
+    for (std::size_t i = 0; i < payload.size(); i++)
+        wantSum += 0x1000 + i;
+    EXPECT_EQ(seenSum, wantSum);
+    ASSERT_EQ(ran.size(), static_cast<std::size_t>(n));
+    // (time, seq) order: ascending time, schedule order within a time.
+    EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+    EXPECT_EQ(eq.executed(), static_cast<std::uint64_t>(n) + 1);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, RunningCallbackCannotCancelItself)
+{
+    EventQueue eq;
+    EventId self = kNoEvent;
+    bool cancelled = true;
+    self = eq.schedule(5, [&eq, &self, &cancelled]() {
+        cancelled = eq.cancel(self);
+    });
+    eq.run();
+    EXPECT_FALSE(cancelled);
+    EXPECT_EQ(eq.executed(), 1u);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_FALSE(eq.cancel(self)); // still stale once it has returned
+}
+
+TEST(EventQueue, NestedRunInsideCallbackDrains)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(1, [&eq, &order]() {
+        order.push_back(1);
+        eq.after(5, [&order]() { order.push_back(2); });
+        eq.after(5, [&eq, &order]() {
+            order.push_back(3);
+            eq.after(1, [&order]() { order.push_back(4); });
+        });
+        eq.run(); // drains everything scheduled so far
+        EXPECT_EQ(eq.now(), 7u);
+        EXPECT_TRUE(eq.empty());
+        order.push_back(5);
+        eq.after(2, [&order]() { order.push_back(6); });
+    });
+    eq.schedule(3, [&order]() { order.push_back(7); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 7, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(eq.now(), 9u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.executed(), 6u);
+}
+
+TEST(EventQueue, ReadyMadeCallbackIsMovedIn)
+{
+    EventQueue eq;
+    int got = 0;
+    EventQueue::Callback cb = [&got]() { got = 42; };
+    eq.schedule(3, std::move(cb));
+    EXPECT_FALSE(static_cast<bool>(cb));
+    eq.run();
+    EXPECT_EQ(got, 42);
 }
 
 // --- Coroutine layer ---

@@ -5,10 +5,13 @@
  * Fig. 5 latency model, translation caches, and DMA mappings.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "iommu/iommu.hpp"
 #include "mem/address_space.hpp"
+#include "obs/tenant.hpp"
 #include "sim/event_queue.hpp"
 
 using namespace bpd;
@@ -220,6 +223,116 @@ TEST_F(IommuFixture, FixedLatencyOverride)
     TransResult r = iommu.translateVbaSync(kP, 0x40000000, 4096, false,
                                            kDev);
     EXPECT_EQ(r.latency, 1350u);
+}
+
+namespace {
+
+/** Everything a host-only prefetch must leave alone. */
+struct SimState
+{
+    std::uint64_t wcHits, wcMisses, tlbHits, tlbMisses;
+    std::uint64_t frames, translations, faults;
+    std::vector<std::uint64_t> tenantRows;
+
+    static SimState
+    of(const Iommu &m, const obs::TenantAccounting &acct)
+    {
+        SimState st{m.walkCache().hits(), m.walkCache().misses(),
+                    m.iotlb().hits(),     m.iotlb().misses(),
+                    m.framesRead(),       m.vbaTranslations(),
+                    m.vbaFaults(),        {}};
+        acct.forEach([&](TenantId id, const obs::TenantCounters &c) {
+            st.tenantRows.insert(st.tenantRows.end(),
+                                 {id, c.iommuVbaTranslations,
+                                  c.iommuVbaFaults,
+                                  c.iommuPageWalkFrames});
+        });
+        acct.forEachDevice([&](DevId d, TenantId id,
+                               const obs::DeviceTenantCounters &c) {
+            st.tenantRows.insert(st.tenantRows.end(),
+                                 {d, id, c.iommuVbaTranslations,
+                                  c.iommuVbaFaults,
+                                  c.iommuPageWalkFrames});
+        });
+        return st;
+    }
+
+    bool
+    operator==(const SimState &o) const
+    {
+        return wcHits == o.wcHits && wcMisses == o.wcMisses
+               && tlbHits == o.tlbHits && tlbMisses == o.tlbMisses
+               && frames == o.frames && translations == o.translations
+               && faults == o.faults && tenantRows == o.tenantRows;
+    }
+};
+
+} // namespace
+
+TEST_F(IommuFixture, PrefetchLeavesSimulatedStateAlone)
+{
+    obs::TenantAccounting acct;
+    iommu.setTenantAccounting(&acct);
+    mapBlocks(0x40000000, 500, 4);
+    // A malformed tree: an FT-marked entry at PMD level.
+    mem::Frame poisoned = fa.alloc();
+    for (std::size_t i = 0; i < kPte; i++)
+        fa.table(poisoned)[i] = mem::makeFte(100 + i, kDev, true);
+    pt.attachTable(0x80000000ull, 2, poisoned, true);
+    ASSERT_TRUE(
+        iommu.translateVbaSync(kP, 0x40000000, 4096, false, kDev).ok);
+
+    const SimState before = SimState::of(iommu, acct);
+    iommu.prefetchVba(kP, 0x40000000 + kBlockBytes); // mapped
+    iommu.prefetchVba(kP, 0x40000000 + 9 * kBlockBytes); // hole in leaf
+    iommu.prefetchVba(kP, 0x7f00'0000'0000ull);      // unmapped region
+    iommu.prefetchVba(kP + 1, 0x40000000);           // unbound PASID
+    iommu.prefetchVba(kP, 0x80000000ull);            // deep FTE
+    EXPECT_TRUE(SimState::of(iommu, acct) == before);
+
+    // Translations after the prefetches are the ones without them.
+    const TransResult r
+        = iommu.translateVbaSync(kP, 0x40000000 + kBlockBytes, 4096,
+                                 false, kDev);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.segs[0].addr, 501u * kBlockBytes);
+    EXPECT_EQ(r.framesRead, 4u);
+    EXPECT_FALSE(iommu.translateVbaSync(kP, 0x80000000ull, 4096, false,
+                                        kDev)
+                     .ok);
+    pt.detachTable(0x80000000ull, 2);
+    fa.free(poisoned);
+}
+
+TEST(IommuPrefetch, LeavesWalkCacheLruOrderAlone)
+{
+    sim::EventQueue eq;
+    mem::FrameAllocator fa;
+    IommuProfile prof;
+    prof.walkCacheEntries = 4; // one set of four ways
+    prof.walkCacheWays = 4;
+    Iommu iommu(eq, prof);
+    mem::PageTable pt(fa);
+    constexpr Pasid kP = 7;
+    constexpr DevId kDev = 1;
+    iommu.bindPasid(kP, &pt);
+    auto region = [](unsigned r) {
+        return 0x40000000ull + r * mem::kPmdSpan;
+    };
+    for (unsigned r = 0; r < 5; r++)
+        pt.set(region(r), mem::makeFte(100 + r, kDev, true));
+    auto translate = [&](unsigned r) {
+        ASSERT_TRUE(iommu.translateVbaSync(kP, region(r), 4096, false,
+                                           kDev)
+                        .ok);
+    };
+    for (unsigned r = 0; r < 4; r++)
+        translate(r); // region 0 is now least recently used
+    iommu.prefetchVba(kP, region(0)); // must not refresh it
+    translate(4);                     // evicts the LRU way
+    const std::uint64_t misses = iommu.walkCache().misses();
+    translate(0);
+    EXPECT_EQ(iommu.walkCache().misses(), misses + 1);
 }
 
 TEST_F(IommuFixture, AsyncTranslationTakesLatency)

@@ -225,6 +225,117 @@ TEST(PageTable, MalformedDeepFteFaults)
     fa.free(poisoned);
 }
 
+// --- Walker leaf-table cache (host-side; must never change a walk) ---
+
+namespace {
+
+/** A leaf table whose every entry is an FTE to block base + index. */
+Frame
+fteTable(FrameAllocator &fa, BlockNo base)
+{
+    const Frame f = fa.alloc();
+    for (std::size_t i = 0; i < kPte; i++)
+        fa.table(f)[i] = makeFte(base + i, 1, true);
+    return f;
+}
+
+} // namespace
+
+TEST(PageTable, LeafCacheAliasedRegionsWalkTheirOwnFtes)
+{
+    FrameAllocator fa;
+    PageTable pt(fa);
+    const Frame a = fteTable(fa, 1000);
+    const Frame b = fteTable(fa, 9000);
+    // kMaxLeafCacheEntries regions apart: the two regions share one
+    // direct-mapped entry whatever size the cache has grown to.
+    const Vaddr vaA = 0x40000000ull;
+    const Vaddr vaB
+        = vaA + PageTable::kMaxLeafCacheEntries * kPmdSpan;
+    pt.attachTable(vaA, 1, a, true);
+    pt.attachTable(vaB, 1, b, false);
+    for (int round = 0; round < 4; round++) {
+        for (unsigned page : {3u, 200u}) {
+            const PageTable::Walk wa = pt.walk(vaA + page * kBlockBytes);
+            const PageTable::Walk wb = pt.walk(vaB + page * kBlockBytes);
+            ASSERT_TRUE(wa.present);
+            ASSERT_TRUE(wb.present);
+            EXPECT_EQ(fteBlock(wa.leaf), 1000u + page);
+            EXPECT_EQ(fteBlock(wb.leaf), 9000u + page);
+            EXPECT_TRUE(wa.writable);
+            EXPECT_FALSE(wb.writable);
+            EXPECT_EQ(wa.framesRead, 4u);
+            EXPECT_EQ(wb.framesRead, 4u);
+        }
+    }
+    pt.detachTable(vaA, 1);
+    pt.detachTable(vaB, 1);
+    fa.free(a);
+    fa.free(b);
+}
+
+TEST(PageTable, LeafCacheForgetsDetachedTable)
+{
+    FrameAllocator fa;
+    PageTable pt(fa);
+    const Frame a = fteTable(fa, 1000);
+    const Vaddr va = 0x40000000ull;
+    pt.attachTable(va, 1, a, true);
+    for (int i = 0; i < 3; i++) { // fill, then hit
+        const PageTable::Walk w = pt.walk(va + 7 * kBlockBytes);
+        ASSERT_TRUE(w.present);
+        EXPECT_EQ(fteBlock(w.leaf), 1007u);
+        EXPECT_EQ(w.framesRead, 4u);
+    }
+    ASSERT_TRUE(pt.detachTable(va, 1));
+    const PageTable::Walk w = pt.walk(va + 7 * kBlockBytes);
+    EXPECT_FALSE(w.present);
+    EXPECT_FALSE(w.writable);
+    EXPECT_EQ(w.framesRead, 3u); // stops at the cleared PMD entry
+    fa.free(a);
+}
+
+TEST(PageTable, LeafCacheFollowsReattachedTable)
+{
+    FrameAllocator fa;
+    PageTable pt(fa);
+    const Frame a = fteTable(fa, 1000);
+    const Frame b = fteTable(fa, 5000);
+    const Vaddr va = 0x40000000ull;
+    pt.attachTable(va, 1, a, false);
+    EXPECT_EQ(fteBlock(pt.walk(va + 9 * kBlockBytes).leaf), 1009u);
+    EXPECT_EQ(fteBlock(pt.walk(va + 9 * kBlockBytes).leaf), 1009u);
+    pt.detachTable(va, 1);
+    pt.attachTable(va, 1, b, true);
+    for (int i = 0; i < 2; i++) {
+        const PageTable::Walk w = pt.walk(va + 9 * kBlockBytes);
+        ASSERT_TRUE(w.present);
+        EXPECT_EQ(fteBlock(w.leaf), 5009u);
+        EXPECT_TRUE(w.writable);
+        EXPECT_EQ(w.framesRead, 4u);
+    }
+    pt.detachTable(va, 1);
+    fa.free(a);
+    fa.free(b);
+}
+
+TEST(PageTable, PrefetchLeafChangesNothing)
+{
+    FrameAllocator fa;
+    PageTable pt(fa);
+    const Frame a = fteTable(fa, 1000);
+    const Vaddr va = 0x40000000ull;
+    pt.attachTable(va, 1, a, true);
+    pt.prefetchLeaf(va + 5 * kBlockBytes);      // before any walk
+    pt.walk(va);
+    pt.prefetchLeaf(va + 5 * kBlockBytes);      // through the cache
+    pt.prefetchLeaf(0x7f00'0000'0000ull);       // unmapped
+    EXPECT_EQ(fa.table(a)[5], makeFte(1005, 1, true));
+    EXPECT_EQ(fteBlock(pt.walk(va + 5 * kBlockBytes).leaf), 1005u);
+    pt.detachTable(va, 1);
+    fa.free(a);
+}
+
 TEST(VaAllocator, ReserveAligned)
 {
     VaAllocator va(0x1000, 1ull << 30);
