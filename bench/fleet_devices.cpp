@@ -267,20 +267,14 @@ cellFields(BenchJson::Scenario &sc, const CellOut &cell, unsigned devs,
         BenchJson::field(sc, p + "writes", lat.count());
         BenchJson::field(sc, p + "p50_ns", lat.p50());
         BenchJson::field(sc, p + "p99_ns", lat.p99());
-        // Fold the (device, tenant) accounting rows for this slot's
-        // DevId — the same rows verifyTenantSums checks against the
-        // device's hardware counters.
-        const DevId id = target.devices.slot(d).dev.devId();
-        std::uint64_t acctOps = 0, acctBytes = 0;
-        target.tenantAccounting().forEachDevice(
-            [&](DevId dev, TenantId, const obs::DeviceTenantCounters &c) {
-                if (dev != id)
-                    return;
-                acctOps += c.ssdOps;
-                acctBytes += c.ssdReadBytes + c.ssdWriteBytes;
-            });
-        BenchJson::field(sc, p + "acct_ssd_ops", acctOps);
-        BenchJson::field(sc, p + "acct_bytes", acctBytes);
+        // This slot's accounting rows folded over tenants — the fold
+        // verifyTenantSums checks against the device's hardware
+        // counters.
+        const obs::TenantCounters acct = target.tenantAccounting().device(
+            target.devices.slot(d).dev.devId());
+        BenchJson::field(sc, p + "acct_ssd_ops", acct.ssdOps);
+        BenchJson::field(sc, p + "acct_bytes",
+                         acct.ssdReadBytes + acct.ssdWriteBytes);
     }
     for (std::size_t s = 0; s < cell.streams.size(); s++) {
         const StreamOut &st = cell.streams[s];

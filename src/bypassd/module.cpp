@@ -89,21 +89,34 @@ BypassdModule::ensureCache(fs::Inode &ino, FmapResult *res)
 }
 
 FmapResult
+BypassdModule::reject(kern::Process &p, const FmapResult &res,
+                      InodeNum ino, std::optional<std::size_t> slot)
+{
+    rejectedFmaps_++;
+    if (acct_)
+        acct_->of(p.pasid()).bypassdRejectedFmaps++;
+    if (trace_ && trace_->wants(obs::Level::Layers)) {
+        const auto inoArg = static_cast<std::int64_t>(ino);
+        if (slot)
+            trace_->instant(obsTrack_, "bypassd.fmap_rejected", 0,
+                            {{"ino", inoArg},
+                             {"slot", static_cast<std::int64_t>(*slot)}});
+        else
+            trace_->instant(obsTrack_, "bypassd.fmap_rejected", 0,
+                            {{"ino", inoArg}});
+    }
+    return res;
+}
+
+FmapResult
 BypassdModule::fmap(kern::Process &p, InodeNum inoNum, bool writable)
 {
     FmapResult res;
     res.cost = kernel_.costs().fmapSyscallNs;
 
     fs::Inode *ino = kernel_.vfs().fs().inode(inoNum);
-    if (!ino || ino->isDir()) {
-        rejectedFmaps_++;
-        if (acct_)
-            acct_->of(p.pasid()).bypassdRejectedFmaps++;
-        if (trace_ && trace_->wants(obs::Level::Layers))
-            trace_->instant(obsTrack_, "bypassd.fmap_rejected", 0,
-                            {{"ino", static_cast<std::int64_t>(inoNum)}});
-        return res;
-    }
+    if (!ino || ino->isDir())
+        return reject(p, res, inoNum);
 
     // A valid VBA must imply kernel-approved access (Section 5.3): the
     // caller needs an open descriptor for this inode, and write mappings
@@ -117,15 +130,8 @@ BypassdModule::fmap(kern::Process &p, InodeNum inoNum, bool writable)
                 mayWrite = true;
         }
     }
-    if (!hasOpen) {
-        rejectedFmaps_++;
-        if (acct_)
-            acct_->of(p.pasid()).bypassdRejectedFmaps++;
-        if (trace_ && trace_->wants(obs::Level::Layers))
-            trace_->instant(obsTrack_, "bypassd.fmap_rejected", 0,
-                            {{"ino", static_cast<std::int64_t>(inoNum)}});
-        return res;
-    }
+    if (!hasOpen)
+        return reject(p, res, inoNum);
     writable = writable && mayWrite;
 
     // Stale revocation state clears once every opener is gone.
@@ -140,31 +146,16 @@ BypassdModule::fmap(kern::Process &p, InodeNum inoNum, bool writable)
     // through the kernel interface, when access was revoked, or when
     // multiple processes have been changing its metadata.
     if (ino->kernelOpens > 0 || revoked_.count(inoNum)
-        || ino->metadataMultiWriter) {
-        rejectedFmaps_++;
-        if (acct_)
-            acct_->of(p.pasid()).bypassdRejectedFmaps++;
-        if (trace_ && trace_->wants(obs::Level::Layers))
-            trace_->instant(obsTrack_, "bypassd.fmap_rejected", 0,
-                            {{"ino", static_cast<std::int64_t>(inoNum)}});
-        return res;
-    }
+        || ino->metadataMultiWriter)
+        return reject(p, res, inoNum);
 
     // Multi-device fleet: a file homed on an unattached or evicted
     // device gets no VBA — the caller falls back to the kernel
     // interface, where I/O to the dead device fails with ENODEV.
     const std::size_t home = homeSlotOf(*ino);
     if (home >= kernel_.slotCount()
-        || kernel_.slotDevice(home).evicted()) {
-        rejectedFmaps_++;
-        if (acct_)
-            acct_->of(p.pasid()).bypassdRejectedFmaps++;
-        if (trace_ && trace_->wants(obs::Level::Layers))
-            trace_->instant(obsTrack_, "bypassd.fmap_rejected", 0,
-                            {{"ino", static_cast<std::int64_t>(inoNum)},
-                             {"slot", static_cast<std::int64_t>(home)}});
-        return res;
-    }
+        || kernel_.slotDevice(home).evicted())
+        return reject(p, res, inoNum, home);
 
     FileTableCache *cache = ensureCache(*ino, &res);
     res.slot = home;
@@ -198,15 +189,8 @@ BypassdModule::fmap(kern::Process &p, InodeNum inoNum, bool writable)
         = roundUpPmd(std::max<std::uint64_t>(ino->size, 1))
           + kRegionHeadroom;
     const Vaddr vba = p.aspace().reserve(regionBytes, mem::kPmdSpan);
-    if (vba == 0) {
-        rejectedFmaps_++;
-        if (acct_)
-            acct_->of(p.pasid()).bypassdRejectedFmaps++;
-        if (trace_ && trace_->wants(obs::Level::Layers))
-            trace_->instant(obsTrack_, "bypassd.fmap_rejected", 0,
-                            {{"ino", static_cast<std::int64_t>(inoNum)}});
-        return res;
-    }
+    if (vba == 0)
+        return reject(p, res, inoNum);
 
     // Warm attach: link the shared leaf frames at PMD entries; the
     // per-open permission is set on the private path (Fig. 4).

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -155,6 +156,13 @@ class BypassdModule : public kern::BypassdHooks
     void releaseQuarantine(kern::Process &p, InodeNum ino);
     /** Emit the fmap cold/warm span when tracing is enabled. */
     void emitFmap(const FmapResult &res, InodeNum ino);
+    /**
+     * Count, charge and trace a refused fmap of @p ino by @p p (the
+     * instant names the home @p slot when it is the reason); returns
+     * @p res, whose VBA stays 0.
+     */
+    FmapResult reject(kern::Process &p, const FmapResult &res, InodeNum ino,
+                      std::optional<std::size_t> slot = {});
 
     kern::Kernel &kernel_;
 

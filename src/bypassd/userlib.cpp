@@ -22,15 +22,6 @@ alignUp(std::uint64_t x, std::uint64_t a)
     return (x + a - 1) & ~(a - 1);
 }
 
-/** Map a device completion status to the errno handed to callers. */
-int
-devErrno(ssd::Status st)
-{
-    return kern::errOf(st == ssd::Status::DeviceEvicted
-                           ? fs::FsStatus::NoDev
-                           : fs::FsStatus::Inval);
-}
-
 } // namespace
 
 UserLib::UserLib(kern::Kernel &kernel, BypassdModule &module,
@@ -747,20 +738,26 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
         cb(result, tr);
         drainPendingPartials(fd);
     };
+    // The whole write through the kernel: the fallback when access is
+    // gone, and the retry after a fault in either RMW phase (a fresh
+    // direct RMW would have to re-enter the sector serialization).
+    auto viaKernel = [this, fd, data, off, trace, finish]() {
+        kernel_.sysPwrite(
+            proc_, fd,
+            std::span<const std::uint8_t>(data->data(), data->size()), off,
+            finish, trace);
+    };
 
     const Time start = kernel_.eq().now();
     const Time submitCost
         = kernel_.cpu().scaled(kernel_.costs().userlibSubmitNs);
     directWrites_++;
     kernel_.eq().after(submitCost, [this, fd, data, off, aStart, len, q,
-                                    start, trace, finish]() {
+                                    start, trace, finish, viaKernel]() {
         FileInfo *fi2 = info(fd);
         if (!fi2 || !fi2->direct) {
             // Revoked meanwhile: fall back through the kernel.
-            kernel_.sysPwrite(
-                proc_, fd,
-                std::span<const std::uint8_t>(data->data(), data->size()),
-                off, finish, trace);
+            viaKernel();
             return;
         }
         ssd::Command rd;
@@ -773,27 +770,9 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
         rd.trace = trace;
         submitWithRetry(*q, rd,
                         [this, fd, data, off, aStart, len, q, start, trace,
-                         finish](const ssd::Completion &comp) {
+                         finish, viaKernel](const ssd::Completion &comp) {
             if (comp.status != ssd::Status::Success) {
-                handleFault(
-                    fd,
-                    [this, fd, data, off, trace, finish]() {
-                        // Retry whole RMW from scratch via the kernel
-                        // path so serialization state stays sound.
-                        kernel_.sysPwrite(
-                            proc_, fd,
-                            std::span<const std::uint8_t>(data->data(),
-                                                          data->size()),
-                            off, finish, trace);
-                    },
-                    [this, fd, data, off, trace, finish]() {
-                        kernel_.sysPwrite(
-                            proc_, fd,
-                            std::span<const std::uint8_t>(data->data(),
-                                                          data->size()),
-                            off, finish, trace);
-                    },
-                    trace);
+                handleFault(fd, viaKernel, viaKernel, trace);
                 return;
             }
             FileInfo *fi3 = info(fd);
@@ -806,8 +785,9 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                         data->size());
             const Time modCost = kernel_.cpu().scaled(
                 kernel_.costs().copyCost(data->size()));
-            kernel_.eq().after(modCost, [this, fd, data, off, aStart, len,
-                                         q, start, trace, finish]() {
+            kernel_.eq().after(modCost, [this, fd, data, aStart, len, q,
+                                         start, trace, finish,
+                                         viaKernel]() {
                 FileInfo *fi4 = info(fd);
                 if (!fi4) {
                     finish(kern::errOf(fs::FsStatus::Inval),
@@ -823,15 +803,16 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                 wr.useIova = true;
                 wr.trace = trace;
                 submitWithRetry(*q, wr,
-                                [this, data, start, finish](
-                                    const ssd::Completion &c2) {
+                                [this, fd, data, start, trace, finish,
+                                 viaKernel](const ssd::Completion &c2) {
+                    if (c2.status != ssd::Status::Success) {
+                        handleFault(fd, viaKernel, viaKernel, trace);
+                        return;
+                    }
                     kern::IoTrace tr;
                     tr.userNs = kernel_.costs().userlibCompleteNs;
                     tr.deviceNs = kernel_.eq().now() - start;
-                    finish(c2.status == ssd::Status::Success
-                               ? static_cast<long long>(data->size())
-                               : devErrno(c2.status),
-                           tr);
+                    finish(static_cast<long long>(data->size()), tr);
                 });
             });
         });

@@ -1,5 +1,8 @@
 #include "iommu/iommu.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "obs/trace.hpp"
 #include "sim/logging.hpp"
 
@@ -66,10 +69,8 @@ Iommu::translateVbaInto(Pasid pasid, Vaddr vba, std::uint32_t len,
     res.framesRead = 0;
     res.pages = 0;
     vbaTranslations_++;
-    if (acct_) {
-        acct_->of(pasid).iommuVbaTranslations++;
+    if (acct_)
         acct_->dev(requester, pasid).iommuVbaTranslations++;
-    }
 
     Time latency = profile_.pcieRoundTripNs + profile_.lookupNs;
     bool anyWalkCacheMiss = false;
@@ -85,10 +86,8 @@ Iommu::translateVbaInto(Pasid pasid, Vaddr vba, std::uint32_t len,
         if (!res.ok) {
             res.segs.clear();
             vbaFaults_++;
-            if (acct_) {
-                acct_->of(pasid).iommuVbaFaults++;
+            if (acct_)
                 acct_->dev(requester, pasid).iommuVbaFaults++;
-            }
         }
         if (profile_.fixedVbaLatencyNs >= 0) {
             res.latency = static_cast<Time>(profile_.fixedVbaLatencyNs);
@@ -128,11 +127,9 @@ Iommu::translateVbaInto(Pasid pasid, Vaddr vba, std::uint32_t len,
 
         const mem::PageTable::Walk w = pt.walk(pageVa);
         framesRead_ += w.framesRead;
-        if (acct_) {
-            acct_->of(pasid).iommuPageWalkFrames += w.framesRead;
+        if (acct_)
             acct_->dev(requester, pasid).iommuPageWalkFrames
                 += w.framesRead;
-        }
         res.framesRead += w.framesRead;
         if (!w.present)
             return finish(Fault::NotPresent);
@@ -221,19 +218,32 @@ Iommu::invalidateAll(Pasid pasid)
     iotlb_.clear();
 }
 
+std::vector<Iommu::DmaMapping>::iterator
+Iommu::dmaAfter(Pasid pasid, std::uint64_t iova)
+{
+    return std::ranges::upper_bound(dma_, std::pair(pasid, iova), {},
+                                    [](const DmaMapping &m) {
+                                        return std::pair(m.pasid, m.iova);
+                                    });
+}
+
 void
 Iommu::mapDma(Pasid pasid, std::uint64_t iova, std::span<std::uint8_t> mem,
               bool writable)
 {
-    dmaMap_[pasid][iova] = DmaMapping{mem, writable};
+    auto it = dmaAfter(pasid, iova);
+    if (it != dma_.begin() && it[-1].pasid == pasid && it[-1].iova == iova)
+        it[-1] = DmaMapping{pasid, writable, iova, mem};
+    else
+        dma_.insert(it, DmaMapping{pasid, writable, iova, mem});
 }
 
 void
 Iommu::unmapDma(Pasid pasid, std::uint64_t iova)
 {
-    auto it = dmaMap_.find(pasid);
-    if (it != dmaMap_.end())
-        it->second.erase(iova);
+    auto it = dmaAfter(pasid, iova);
+    if (it != dma_.begin() && it[-1].pasid == pasid && it[-1].iova == iova)
+        dma_.erase(it - 1);
     iotlb_.invalidate(dmaKey(pasid, iova));
 }
 
@@ -241,17 +251,13 @@ std::optional<std::span<std::uint8_t>>
 Iommu::resolveDma(Pasid pasid, std::uint64_t iova, std::uint32_t len,
                   bool deviceWrites)
 {
-    auto pit = dmaMap_.find(pasid);
-    if (pit == dmaMap_.end() || pit->second.empty())
+    // The registration with the largest base <= iova, if it is this
+    // PASID's: the one before it in the flat order may be another's.
+    auto it = dmaAfter(pasid, iova);
+    if (it == dma_.begin() || it[-1].pasid != pasid)
         return std::nullopt;
-    // Find the registration with the largest base <= iova.
-    auto it = pit->second.upper_bound(iova);
-    if (it == pit->second.begin())
-        return std::nullopt;
-    --it;
-    const std::uint64_t base = it->first;
-    const DmaMapping &m = it->second;
-    const std::uint64_t offset = iova - base;
+    const DmaMapping &m = it[-1];
+    const std::uint64_t offset = iova - m.iova;
     if (offset + len > m.mem.size())
         return std::nullopt;
     if (deviceWrites && !m.writable)

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -202,11 +201,19 @@ class Iommu
 
     struct DmaMapping
     {
-        std::span<std::uint8_t> mem;
+        Pasid pasid;
         bool writable;
+        std::uint64_t iova; //!< base IOVA
+        std::span<std::uint8_t> mem;
     };
-    /** Per-PASID registered DMA regions, keyed by base IOVA. */
-    std::unordered_map<Pasid, std::map<std::uint64_t, DmaMapping>> dmaMap_;
+    /**
+     * Registered DMA regions (one per user queue pair or VM), sorted by
+     * (pasid, base IOVA).
+     */
+    std::vector<DmaMapping> dma_;
+    /** The first registration after (@p pasid, @p iova) in dma_. */
+    std::vector<DmaMapping>::iterator dmaAfter(Pasid pasid,
+                                               std::uint64_t iova);
 
     TranslationCache iotlb_;
     TranslationCache walkCache_;

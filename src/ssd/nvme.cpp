@@ -359,10 +359,8 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     const TenantId tenant
         = cmd.tenant != kSystemTenant ? cmd.tenant : qp.pasid();
     totalOps_++;
-    if (acct_) {
-        acct_->of(tenant).ssdOps++;
+    if (acct_)
         acct_->dev(devId_, tenant).ssdOps++;
-    }
 
     if (trace_ && trace_->wants(obs::Level::Device) && cmd.enq != 0
         && submitTime > cmd.enq) {
@@ -376,10 +374,8 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
         if (st == Status::TranslationFault || st == Status::PermissionFault
             || st == Status::DevIdFault) {
             translationFaults_++;
-            if (acct_) {
-                acct_->of(tenant).ssdTranslationFaults++;
+            if (acct_)
                 acct_->dev(devId_, tenant).ssdTranslationFaults++;
-            }
         }
         Completion comp;
         comp.cid = cmd.cid;
@@ -503,15 +499,11 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
     else
         writeBytes_ += cmd.len;
     if (acct_) {
-        obs::TenantCounters &tc = acct_->of(tenant);
-        obs::DeviceTenantCounters &dc = acct_->dev(devId_, tenant);
-        if (cmd.op == Op::Read) {
+        obs::TenantCounters &tc = acct_->dev(devId_, tenant);
+        if (cmd.op == Op::Read)
             tc.ssdReadBytes += cmd.len;
-            dc.ssdReadBytes += cmd.len;
-        } else {
+        else
             tc.ssdWriteBytes += cmd.len;
-            dc.ssdWriteBytes += cmd.len;
-        }
     }
     qp.completedBytes_ += cmd.len;
 

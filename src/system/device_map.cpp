@@ -8,6 +8,9 @@ DeviceMap::DeviceMap(sim::EventQueue &eq, const DeviceMapConfig &cfg)
     : cfg_(cfg)
 {
     sim::panicIf(cfg_.maxDevices == 0, "DeviceMap needs >= 1 device");
+    // DevId 0 means "no device": a tenant's device-less accounting row
+    // and an unattributed replay record.
+    sim::panicIf(cfg_.devIdBase == 0, "DeviceMap devIdBase must be >= 1");
     sim::panicIf(cfg_.onlineDevices == 0
                      || cfg_.onlineDevices > cfg_.maxDevices,
                  "onlineDevices out of [1, maxDevices]");

@@ -40,7 +40,7 @@ struct DeviceMapConfig
     std::uint64_t slotBytes = 64ull << 30; //!< uniform per-slot capacity
     std::size_t maxDevices = 1;            //!< slots constructed
     std::size_t onlineDevices = 1;         //!< present at boot
-    DevId devIdBase = 1;                   //!< slot i gets devIdBase + i
+    DevId devIdBase = 1;                   //!< slot i gets devIdBase + i; >= 1
     std::uint64_t seedBase = 42;           //!< slot i gets seedBase + i
     ssd::SsdProfile ssd;                   //!< base device profile
     iommu::IommuProfile iommu;

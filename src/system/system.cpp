@@ -1,6 +1,7 @@
 #include "system/system.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "sim/logging.hpp"
 
@@ -204,155 +205,72 @@ System::enableQos()
     return *qos_;
 }
 
+obs::TenantCounters
+System::counterTotals(std::optional<std::size_t> slot)
+{
+    obs::TenantCounters t;
+    const std::size_t end = slot ? *slot + 1 : devices.size();
+    for (std::size_t i = slot.value_or(0); i < end; i++) {
+        const ssd::NvmeDevice &d = devices.slot(i).dev;
+        const iommu::Iommu &mmu = devices.slot(i).iommu;
+        t.ssdOps += d.totalOps();
+        t.ssdReadBytes += d.readBytes();
+        t.ssdWriteBytes += d.writeBytes();
+        t.ssdTranslationFaults += d.translationFaults();
+        t.iommuVbaTranslations += mmu.vbaTranslations();
+        t.iommuVbaFaults += mmu.vbaFaults();
+        t.iommuPageWalkFrames += mmu.framesRead();
+    }
+    if (slot)
+        return t;
+    t.kernSyscalls = kernel.syscallCount();
+    t.fsJournalRecords = ext4.journal().records();
+    t.fsMetadataOps = ext4.metadataOps();
+    t.fsPageCacheHits = kernel.pageCache().hits();
+    t.fsPageCacheMisses = kernel.pageCache().misses();
+    t.bypassdColdFmaps = module.coldFmaps();
+    t.bypassdWarmFmaps = module.warmFmaps();
+    t.bypassdRejectedFmaps = module.rejectedFmaps();
+    t.bypassdRevokedVictims = module.revokedVictims();
+    if (qos_) {
+        t.qosThrottles = qos_->throttles();
+        t.qosThrottledBytes = qos_->throttledBytes();
+    }
+    return t;
+}
+
 std::string
 System::verifyTenantSums()
 {
     if (!acctEnabled_)
         return {};
-    obs::TenantCounters sum;
-    acct_.forEach([&](TenantId, const obs::TenantCounters &tc) {
-        sum.kernSyscalls += tc.kernSyscalls;
-        sum.ssdOps += tc.ssdOps;
-        sum.ssdReadBytes += tc.ssdReadBytes;
-        sum.ssdWriteBytes += tc.ssdWriteBytes;
-        sum.ssdTranslationFaults += tc.ssdTranslationFaults;
-        sum.iommuVbaTranslations += tc.iommuVbaTranslations;
-        sum.iommuVbaFaults += tc.iommuVbaFaults;
-        sum.iommuPageWalkFrames += tc.iommuPageWalkFrames;
-        sum.fsJournalRecords += tc.fsJournalRecords;
-        sum.fsMetadataOps += tc.fsMetadataOps;
-        sum.fsPageCacheHits += tc.fsPageCacheHits;
-        sum.fsPageCacheMisses += tc.fsPageCacheMisses;
-        sum.bypassdColdFmaps += tc.bypassdColdFmaps;
-        sum.bypassdWarmFmaps += tc.bypassdWarmFmaps;
-        sum.bypassdRejectedFmaps += tc.bypassdRejectedFmaps;
-        sum.bypassdRevokedVictims += tc.bypassdRevokedVictims;
-        sum.qosThrottles += tc.qosThrottles;
-        sum.qosThrottledBytes += tc.qosThrottledBytes;
-    });
-    // Fleet totals: the hardware-side counters fold across every slot.
-    std::uint64_t devOps = 0, devRead = 0, devWrite = 0, devTf = 0;
-    std::uint64_t ioTrans = 0, ioFaults = 0, ioFrames = 0;
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const ssd::NvmeDevice &d = devices.slot(i).dev;
-        const iommu::Iommu &mmu = devices.slot(i).iommu;
-        devOps += d.totalOps();
-        devRead += d.readBytes();
-        devWrite += d.writeBytes();
-        devTf += d.translationFaults();
-        ioTrans += mmu.vbaTranslations();
-        ioFaults += mmu.vbaFaults();
-        ioFrames += mmu.framesRead();
-    }
-    const std::pair<const char *, std::pair<std::uint64_t,
-                                            std::uint64_t>>
-        checks[] = {
-            {"kern.syscalls", {sum.kernSyscalls, kernel.syscallCount()}},
-            {"ssd.ops", {sum.ssdOps, devOps}},
-            {"ssd.read_bytes", {sum.ssdReadBytes, devRead}},
-            {"ssd.write_bytes", {sum.ssdWriteBytes, devWrite}},
-            {"ssd.translation_faults", {sum.ssdTranslationFaults, devTf}},
-            {"iommu.vba_translations",
-             {sum.iommuVbaTranslations, ioTrans}},
-            {"iommu.vba_faults", {sum.iommuVbaFaults, ioFaults}},
-            {"iommu.page_walk_frames",
-             {sum.iommuPageWalkFrames, ioFrames}},
-            {"fs.journal_records",
-             {sum.fsJournalRecords, ext4.journal().records()}},
-            {"fs.metadata_ops", {sum.fsMetadataOps, ext4.metadataOps()}},
-            {"fs.page_cache_hits",
-             {sum.fsPageCacheHits, kernel.pageCache().hits()}},
-            {"fs.page_cache_misses",
-             {sum.fsPageCacheMisses, kernel.pageCache().misses()}},
-            {"bypassd.cold_fmaps",
-             {sum.bypassdColdFmaps, module.coldFmaps()}},
-            {"bypassd.warm_fmaps",
-             {sum.bypassdWarmFmaps, module.warmFmaps()}},
-            {"bypassd.rejected_fmaps",
-             {sum.bypassdRejectedFmaps, module.rejectedFmaps()}},
-            {"bypassd.revoked_victims",
-             {sum.bypassdRevokedVictims, module.revokedVictims()}},
-            // QoS off: both sides are zero, the rows hold trivially.
-            {"qos.throttles",
-             {sum.qosThrottles, qos_ ? qos_->throttles() : 0}},
-            {"qos.throttled_bytes",
-             {sum.qosThrottledBytes,
-              qos_ ? qos_->throttledBytes() : 0}},
-        };
-    for (const auto &[name, v] : checks)
-        if (v.first != v.second)
-            return sim::strf("%s: tenant sum %llu != system total %llu",
-                             name,
-                             static_cast<unsigned long long>(v.first),
-                             static_cast<unsigned long long>(v.second));
-
-    // Directions 2 and 3: the per-device x per-tenant table must fold
-    // bit-exactly into (a) each tenant's device-attributable counters
-    // and (b) each device's hardware counters.
-    std::map<TenantId, obs::DeviceTenantCounters> byTenant;
-    std::map<DevId, obs::DeviceTenantCounters> byDev;
-    acct_.forEachDevice([&](DevId d, TenantId t,
-                            const obs::DeviceTenantCounters &dc) {
-        for (obs::DeviceTenantCounters *out : {&byTenant[t], &byDev[d]}) {
-            out->ssdOps += dc.ssdOps;
-            out->ssdReadBytes += dc.ssdReadBytes;
-            out->ssdWriteBytes += dc.ssdWriteBytes;
-            out->ssdTranslationFaults += dc.ssdTranslationFaults;
-            out->iommuVbaTranslations += dc.iommuVbaTranslations;
-            out->iommuVbaFaults += dc.iommuVbaFaults;
-            out->iommuPageWalkFrames += dc.iommuPageWalkFrames;
-        }
-    });
     std::string err;
-    auto check7 = [&err](const char *scope, std::uint64_t id,
-                         const obs::DeviceTenantCounters &got,
-                         std::uint64_t ops, std::uint64_t rd,
-                         std::uint64_t wr, std::uint64_t tf,
-                         std::uint64_t vt, std::uint64_t vf,
-                         std::uint64_t pw) {
-        if (!err.empty())
-            return;
-        const std::pair<const char *, std::pair<std::uint64_t,
-                                                std::uint64_t>>
-            rows[] = {
-                {"ssd.ops", {got.ssdOps, ops}},
-                {"ssd.read_bytes", {got.ssdReadBytes, rd}},
-                {"ssd.write_bytes", {got.ssdWriteBytes, wr}},
-                {"ssd.translation_faults",
-                 {got.ssdTranslationFaults, tf}},
-                {"iommu.vba_translations",
-                 {got.iommuVbaTranslations, vt}},
-                {"iommu.vba_faults", {got.iommuVbaFaults, vf}},
-                {"iommu.page_walk_frames",
-                 {got.iommuPageWalkFrames, pw}},
-            };
-        for (const auto &[name, v] : rows)
-            if (v.first != v.second) {
+    auto check = [&err](const std::string &scope,
+                        const obs::TenantCounters &sum,
+                        const obs::TenantCounters &total) {
+        obs::forEachTenantKey([&](const char *group, const char *name,
+                                  bool, auto m) {
+            if (err.empty() && sum.*m != total.*m)
                 err = sim::strf(
-                    "%s %llu %s: device-fold %llu != reference %llu",
-                    scope, static_cast<unsigned long long>(id), name,
-                    static_cast<unsigned long long>(v.first),
-                    static_cast<unsigned long long>(v.second));
-                return;
-            }
+                    "%s.%s: tenant sum %llu != %s total %llu", group,
+                    name, static_cast<unsigned long long>(sum.*m),
+                    scope.c_str(),
+                    static_cast<unsigned long long>(total.*m));
+        });
     };
-    acct_.forEach([&](TenantId t, const obs::TenantCounters &tc) {
-        auto it = byTenant.find(t);
-        const obs::DeviceTenantCounters zero;
-        check7("tenant", t, it == byTenant.end() ? zero : it->second,
-               tc.ssdOps, tc.ssdReadBytes, tc.ssdWriteBytes,
-               tc.ssdTranslationFaults, tc.iommuVbaTranslations,
-               tc.iommuVbaFaults, tc.iommuPageWalkFrames);
+    // Every row against the system totals, then each slot's rows
+    // against its own device (whose device-less keys are all zero, so
+    // a device-less charge booked on a device row shows too).
+    obs::TenantCounters all;
+    acct_.forEachRow([&all](DevId, TenantId,
+                            const obs::TenantCounters &row) {
+        all += row;
     });
+    check("system", all, counterTotals());
     for (std::size_t i = 0; i < devices.size(); i++) {
-        const ssd::NvmeDevice &d = devices.slot(i).dev;
-        const iommu::Iommu &mmu = devices.slot(i).iommu;
-        auto it = byDev.find(d.devId());
-        const obs::DeviceTenantCounters zero;
-        check7("device", d.devId(),
-               it == byDev.end() ? zero : it->second, d.totalOps(),
-               d.readBytes(), d.writeBytes(), d.translationFaults(),
-               mmu.vbaTranslations(), mmu.vbaFaults(), mmu.framesRead());
+        const DevId d = devices.slot(i).dev.devId();
+        check(sim::strf("device %u", unsigned(d)), acct_.device(d),
+              counterTotals(i));
     }
     return err;
 }
@@ -360,80 +278,55 @@ System::verifyTenantSums()
 void
 System::collectMetrics()
 {
+    // Every accounted key of @p c into @p m: under its own group for
+    // kNoDevice (qos.* only when QoS is on, so non-QoS configs keep
+    // their exact key set), else the ssd/iommu keys under
+    // ssd.devN/iommu.devN for device @p d.
+    auto publish = [this](obs::MetricsRegistry &m, DevId d,
+                          const obs::TenantCounters &c) {
+        obs::forEachTenantKey([&](const char *group, const char *name,
+                                  bool perDevice, auto f) {
+            if (d != obs::kNoDevice) {
+                if (perDevice)
+                    m.counter(sim::strf("%s.dev%u", group, unsigned(d)),
+                              name)
+                        .set(c.*f);
+            } else if (qos_ || std::string_view(group) != "qos") {
+                m.counter(group, name).set(c.*f);
+            }
+        });
+    };
     metrics.counter("sim", "events_executed").set(eq.executed());
-    metrics.counter("kern", "syscalls").set(kernel.syscallCount());
-    // iommu.* and ssd.* totals fold across every fleet slot (identical
-    // to the classic single-device values when maxDevices == 1).
+    // The accounted keys' totals; iommu.* and ssd.* fold across every
+    // fleet slot (identical to the classic single-device values when
+    // maxDevices == 1).
+    publish(metrics, obs::kNoDevice, counterTotals());
     // The IOTLB is left out: it caches DMA IOVAs, and no System path
     // translates one (FTEs are never cached, Section 4.3).
-    std::uint64_t ioTrans = 0, ioFaults = 0, ioFrames = 0, wcHit = 0,
-                  wcMiss = 0;
-    std::uint64_t devOps = 0, devRead = 0, devWrite = 0, devTf = 0,
-                  devMediaErrs = 0;
+    std::uint64_t wcHit = 0, wcMiss = 0, devMediaErrs = 0;
     for (std::size_t i = 0; i < devices.size(); i++) {
-        const ssd::NvmeDevice &d = devices.slot(i).dev;
-        const iommu::Iommu &mmu = devices.slot(i).iommu;
-        ioTrans += mmu.vbaTranslations();
-        ioFaults += mmu.vbaFaults();
-        ioFrames += mmu.framesRead();
-        wcHit += mmu.walkCache().hits();
-        wcMiss += mmu.walkCache().misses();
-        devOps += d.totalOps();
-        devRead += d.readBytes();
-        devWrite += d.writeBytes();
-        devTf += d.translationFaults();
-        devMediaErrs += d.mediaErrors();
+        wcHit += devices.slot(i).iommu.walkCache().hits();
+        wcMiss += devices.slot(i).iommu.walkCache().misses();
+        devMediaErrs += devices.slot(i).dev.mediaErrors();
     }
-    metrics.counter("iommu", "vba_translations").set(ioTrans);
-    metrics.counter("iommu", "vba_faults").set(ioFaults);
-    metrics.counter("iommu", "page_walk_frames").set(ioFrames);
     metrics.counter("iommu", "walk_cache_hits").set(wcHit);
     metrics.counter("iommu", "walk_cache_misses").set(wcMiss);
-    metrics.counter("ssd", "ops").set(devOps);
-    metrics.counter("ssd", "read_bytes").set(devRead);
-    metrics.counter("ssd", "write_bytes").set(devWrite);
-    metrics.counter("ssd", "translation_faults").set(devTf);
     if (devices.size() > 1) {
         metrics.counter("ssd", "media_errors").set(devMediaErrs);
         // Per-device breakdown groups (multi-device fleets only, so
         // classic single-device metric output is unchanged).
         for (std::size_t i = 0; i < devices.size(); i++) {
             const ssd::NvmeDevice &d = devices.slot(i).dev;
-            const iommu::Iommu &mmu = devices.slot(i).iommu;
+            publish(metrics, d.devId(), counterTotals(i));
             const std::string g
                 = sim::strf("ssd.dev%u", unsigned(d.devId()));
-            metrics.counter(g, "ops").set(d.totalOps());
-            metrics.counter(g, "read_bytes").set(d.readBytes());
-            metrics.counter(g, "write_bytes").set(d.writeBytes());
-            metrics.counter(g, "translation_faults")
-                .set(d.translationFaults());
             metrics.counter(g, "media_errors").set(d.mediaErrors());
             metrics.counter(g, "evicted").set(d.evicted() ? 1 : 0);
-            const std::string gi
-                = sim::strf("iommu.dev%u", unsigned(d.devId()));
-            metrics.counter(gi, "vba_translations")
-                .set(mmu.vbaTranslations());
-            metrics.counter(gi, "vba_faults").set(mmu.vbaFaults());
-            metrics.counter(gi, "page_walk_frames")
-                .set(mmu.framesRead());
         }
     }
     metrics.counter("fs", "journal_commits")
         .set(ext4.journal().committedTxns());
-    metrics.counter("fs", "journal_records")
-        .set(ext4.journal().records());
-    metrics.counter("fs", "metadata_ops").set(ext4.metadataOps());
-    metrics.counter("fs", "page_cache_hits")
-        .set(kernel.pageCache().hits());
-    metrics.counter("fs", "page_cache_misses")
-        .set(kernel.pageCache().misses());
-    metrics.counter("bypassd", "cold_fmaps").set(module.coldFmaps());
-    metrics.counter("bypassd", "warm_fmaps").set(module.warmFmaps());
     metrics.counter("bypassd", "revocations").set(module.revocations());
-    metrics.counter("bypassd", "revoked_victims")
-        .set(module.revokedVictims());
-    metrics.counter("bypassd", "rejected_fmaps")
-        .set(module.rejectedFmaps());
     std::uint64_t directReads = 0, directWrites = 0, fallbacks = 0,
                   iommuFaults = 0;
     kernel.forEachProcess([&](kern::Process &p) {
@@ -451,65 +344,23 @@ System::collectMetrics()
     metrics.gauge("ssd", "resident_bytes")
         .set(static_cast<double>(store.residentBytes()));
     metrics.gauge("sim", "now_ns").set(static_cast<double>(eq.now()));
-    // qos.* appears only when QoS is on, so non-QoS configs keep their
-    // exact metric key set.
-    if (qos_) {
+    if (qos_)
         metrics.counter("qos", "admits").set(qos_->admits());
-        metrics.counter("qos", "throttles").set(qos_->throttles());
-        metrics.counter("qos", "throttled_bytes")
-            .set(qos_->throttledBytes());
-    }
 
     if (!acctEnabled_)
         return;
-    // Per-tenant sub-registries. Each key mirrors a system total above
-    // and the attribution sites are co-located with the aggregate
-    // increments, so sum-over-tenants equals the total bit-exactly.
+    // Per-tenant sub-registries, each key a fold of the tenant's rows;
+    // the per-device x per-tenant groups are published for fleets only
+    // so classic single-device tenant output keeps its exact key set.
     acct_.forEach([&](TenantId id, const obs::TenantCounters &tc) {
-        obs::MetricsRegistry &m = metrics.tenant(id);
-        m.counter("kern", "syscalls").set(tc.kernSyscalls);
-        m.counter("ssd", "ops").set(tc.ssdOps);
-        m.counter("ssd", "read_bytes").set(tc.ssdReadBytes);
-        m.counter("ssd", "write_bytes").set(tc.ssdWriteBytes);
-        m.counter("ssd", "translation_faults")
-            .set(tc.ssdTranslationFaults);
-        m.counter("iommu", "vba_translations")
-            .set(tc.iommuVbaTranslations);
-        m.counter("iommu", "vba_faults").set(tc.iommuVbaFaults);
-        m.counter("iommu", "page_walk_frames")
-            .set(tc.iommuPageWalkFrames);
-        m.counter("fs", "journal_records").set(tc.fsJournalRecords);
-        m.counter("fs", "metadata_ops").set(tc.fsMetadataOps);
-        m.counter("fs", "page_cache_hits").set(tc.fsPageCacheHits);
-        m.counter("fs", "page_cache_misses").set(tc.fsPageCacheMisses);
-        m.counter("bypassd", "cold_fmaps").set(tc.bypassdColdFmaps);
-        m.counter("bypassd", "warm_fmaps").set(tc.bypassdWarmFmaps);
-        m.counter("bypassd", "rejected_fmaps")
-            .set(tc.bypassdRejectedFmaps);
-        m.counter("bypassd", "revoked_victims")
-            .set(tc.bypassdRevokedVictims);
-        if (qos_) {
-            m.counter("qos", "throttles").set(tc.qosThrottles);
-            m.counter("qos", "throttled_bytes")
-                .set(tc.qosThrottledBytes);
-        }
+        publish(metrics.tenant(id), obs::kNoDevice, tc);
     });
-    // Per-device x per-tenant breakdown. Published for fleets only so
-    // classic single-device tenant output keeps its exact key set.
     if (devices.size() > 1)
-        acct_.forEachDevice([&](DevId d, TenantId id,
-                                const obs::DeviceTenantCounters &dc) {
-        obs::MetricsRegistry &m = metrics.tenant(id);
-        const std::string g = sim::strf("ssd.dev%u", unsigned(d));
-        m.counter(g, "ops").set(dc.ssdOps);
-        m.counter(g, "read_bytes").set(dc.ssdReadBytes);
-        m.counter(g, "write_bytes").set(dc.ssdWriteBytes);
-        m.counter(g, "translation_faults").set(dc.ssdTranslationFaults);
-        const std::string gi = sim::strf("iommu.dev%u", unsigned(d));
-        m.counter(gi, "vba_translations").set(dc.iommuVbaTranslations);
-        m.counter(gi, "vba_faults").set(dc.iommuVbaFaults);
-        m.counter(gi, "page_walk_frames").set(dc.iommuPageWalkFrames);
-    });
+        acct_.forEachRow([&](DevId d, TenantId id,
+                             const obs::TenantCounters &row) {
+            if (d != obs::kNoDevice)
+                publish(metrics.tenant(id), d, row);
+        });
     // UserLib stats are already tracked per process; a process is a
     // tenant, so publish them straight into its sub-registry.
     kernel.forEachProcess([&](kern::Process &p) {

@@ -9,6 +9,7 @@
 #define BPD_SYSTEM_SYSTEM_HPP
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,7 @@ struct SystemConfig
 {
     /** Per-device-slot capacity; the volume is deviceBytes*maxDevices. */
     std::uint64_t deviceBytes = 64ull << 30;
-    DevId devId = 1;         //!< slot i gets devId + i
+    DevId devId = 1;         //!< slot i gets devId + i; 0 is no device
     std::uint64_t seed = 42; //!< slot i gets seed + i
     /** Device slots in the fleet (1 = classic single-device machine). */
     std::size_t maxDevices = 1;
@@ -167,15 +168,15 @@ class System
     void collectMetrics();
 
     /**
-     * Check the attribution invariant: for every accounted counter,
-     * the sum over all tenants equals the matching system total
-     * bit-exactly (attribution sites are co-located with the aggregate
-     * increments, so any divergence is a bug). Device-attributable
-     * counters are checked in three directions: tenant sums vs system
-     * totals, per-device x per-tenant sums folded over devices vs each
-     * tenant's row, and folded over tenants vs each device's hardware
-     * counters. Returns an empty string when the invariant holds — or
-     * when accounting is off — and a description of the first violated
+     * Check the attribution invariant with two folds of the tenant
+     * table: every (device, tenant) row summed equals the system totals
+     * on every accounted key, and each slot's rows summed over tenants
+     * equal that device's own ssd/iommu counters. Both hold bit-exactly
+     * (attribution sites are co-located with the aggregate increments,
+     * so any divergence is a bug); a tenant's rows folding into its
+     * per-tenant view needs no check, since that view is the fold.
+     * Returns an empty string when the invariant holds — or when
+     * accounting is off — and a description of the first violated
      * counter otherwise.
      */
     std::string verifyTenantSums();
@@ -234,6 +235,14 @@ class System
     std::vector<bool> evictPending_;
 
     static DeviceMapConfig mapCfgOf(const SystemConfig &c);
+
+    /**
+     * The component totals every accounted key shadows, as one
+     * TenantCounters: the whole system's (ssd/iommu folded over every
+     * slot) when @p slot is empty, else device slot @p slot's ssd/iommu
+     * counters with every other key zero.
+     */
+    obs::TenantCounters counterTotals(std::optional<std::size_t> slot = {});
 
   public:
     SystemConfig cfg;

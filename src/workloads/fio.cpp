@@ -404,8 +404,7 @@ FioRunState::collect()
         ts.bytes += ctx->bytes;
     }
     for (auto &[id, ts] : slices) {
-        if (const obs::TenantCounters *tc
-            = s.tenantAccounting().find(id)) {
+        if (const auto tc = s.tenantAccounting().find(id)) {
             ts.fmaps = tc->bypassdColdFmaps + tc->bypassdWarmFmaps;
             ts.revocations = tc->bypassdRevokedVictims;
         }

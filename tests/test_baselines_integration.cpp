@@ -187,8 +187,8 @@ TEST(Xrp, ChainIsBilledToTheCaller)
                   [&](long long n, kern::IoTrace) { hops = n; });
     s.run();
     ASSERT_EQ(hops, 6);
-    const obs::TenantCounters *row = s.tenantAccounting().find(p.pasid());
-    ASSERT_NE(row, nullptr);
+    const auto row = s.tenantAccounting().find(p.pasid());
+    ASSERT_TRUE(row.has_value());
     EXPECT_EQ(row->ssdOps, 6u);
     EXPECT_EQ(s.verifyTenantSums(), "");
 }

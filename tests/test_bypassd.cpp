@@ -351,6 +351,40 @@ TEST_F(BypassdFixture, PartialWriteRmw)
     }
 }
 
+TEST_F(BypassdFixture, RevocationBetweenRmwReadAndWriteFallsBack)
+{
+    mkFile("/f", 8192, 42);
+    const int fd = ulOpen(s, *lib, "/f", kRw);
+    ASSERT_TRUE(lib->isDirect(fd));
+    std::vector<std::uint8_t> before(8192);
+    s.kernel.setupRead(*p, fd, before, 0);
+    const auto data = pattern(100, 9);
+    long long n = 0;
+    lib->pwrite(0, fd, data, 700,
+                [&](long long r, kern::IoTrace) { n = r; });
+    // Step until the RMW read reaches the device, then revoke before
+    // the write half is submitted: the write faults and must fall back
+    // to the kernel like the read half does (Section 3.6).
+    const std::uint64_t readBytes = s.dev.readBytes();
+    while (s.dev.readBytes() == readBytes && s.eq.runOne()) {
+    }
+    ASSERT_GT(s.dev.readBytes(), readBytes);
+    InodeNum ino;
+    ASSERT_EQ(s.ext4.resolve("/f", &ino), fs::FsStatus::Ok);
+    s.module.revoke(*s.ext4.inode(ino));
+    s.run();
+    EXPECT_EQ(n, 100);
+    EXPECT_EQ(lib->iommuFaults(), 1u) << "the write half faults";
+    std::vector<std::uint8_t> after(8192);
+    s.kernel.setupRead(*p, fd, after, 0);
+    for (std::size_t i = 0; i < 8192; i++) {
+        if (i >= 700 && i < 800)
+            ASSERT_EQ(after[i], data[i - 700]);
+        else
+            ASSERT_EQ(after[i], before[i]) << i;
+    }
+}
+
 TEST_F(BypassdFixture, OverlappingPartialWritesSerialize)
 {
     mkFile("/f", 4096, 42);

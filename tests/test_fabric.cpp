@@ -408,10 +408,10 @@ TEST(Fabric, RemoteTenantSumsFoldBitExactly)
     // traffic: per-tenant sums equal system totals bit-exactly.
     EXPECT_EQ(net.target.verifyTenantSums(), "");
     const auto &acct = net.target.tenantAccounting();
-    const obs::TenantCounters *t1 = acct.find(fab::kConnTenantBase + 1);
-    const obs::TenantCounters *t2 = acct.find(fab::kConnTenantBase + 2);
-    ASSERT_NE(t1, nullptr);
-    ASSERT_NE(t2, nullptr);
+    const auto t1 = acct.find(fab::kConnTenantBase + 1);
+    const auto t2 = acct.find(fab::kConnTenantBase + 2);
+    ASSERT_TRUE(t1.has_value());
+    ASSERT_TRUE(t2.has_value());
     EXPECT_EQ(t1->ssdOps, 5u);
     EXPECT_EQ(t2->ssdOps, 3u);
     EXPECT_EQ(t1->ssdReadBytes, 5u * 4096);
@@ -419,7 +419,7 @@ TEST(Fabric, RemoteTenantSumsFoldBitExactly)
     EXPECT_EQ(t1->ssdOps + t2->ssdOps, net.target.dev.totalOps());
     // Nothing was attributed to the fabric owner PASID: the queue-pair
     // owner is bookkeeping, the connection tenant is identity.
-    EXPECT_EQ(acct.find(fab::kFabricOwnerPasid), nullptr);
+    EXPECT_FALSE(acct.find(fab::kFabricOwnerPasid).has_value());
 }
 
 TEST(Fabric, ConnectionStormSerializesOnAdminQueue)

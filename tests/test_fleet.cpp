@@ -143,17 +143,18 @@ TEST(FleetDeviceMap, PerDeviceTenantSumsFoldThreeDirections)
     job.filePrefix = "/fleet";
     runner.run(job);
 
-    // The invariant checks all three directions internally: tenant sums
-    // vs system totals, device x tenant folded over devices vs tenant
-    // rows, and folded over tenants vs each device's own counters.
+    // The invariant checks every row against the system totals and
+    // each slot's rows against that device's own counters; the fold
+    // over devices into each tenant's view holds by construction.
     EXPECT_EQ(s.verifyTenantSums(), "");
 
     // The traffic really was multi-device, and the per-device rows fold
     // back to each slot's hardware op counter bit-exactly.
     std::map<DevId, std::uint64_t> perDev;
-    s.tenantAccounting().forEachDevice(
-        [&](DevId d, TenantId, const obs::DeviceTenantCounters &c) {
-            perDev[d] += c.ssdOps;
+    s.tenantAccounting().forEachRow(
+        [&](DevId d, TenantId, const obs::TenantCounters &c) {
+            if (d != obs::kNoDevice)
+                perDev[d] += c.ssdOps;
         });
     EXPECT_GE(perDev.size(), 2u);
     for (std::size_t i = 0; i < s.devices.size(); i++) {
@@ -161,6 +162,14 @@ TEST(FleetDeviceMap, PerDeviceTenantSumsFoldThreeDirections)
         EXPECT_EQ(perDev[dev.devId()], dev.totalOps())
             << "slot " << i;
     }
+}
+
+TEST(FleetDeviceMap, DevIdZeroIsRefused)
+{
+    // DevId 0 names a tenant's device-less accounting row.
+    sys::SystemConfig cfg = fleetConfig(2);
+    cfg.devId = 0;
+    EXPECT_DEATH(sys::System{cfg}, "devIdBase");
 }
 
 TEST(FleetHealth, MonitorEvictsFaultyDeviceAndKernelIoFailsOver)

@@ -241,14 +241,8 @@ struct SimState
                     m.iotlb().hits(),     m.iotlb().misses(),
                     m.framesRead(),       m.vbaTranslations(),
                     m.vbaFaults(),        {}};
-        acct.forEach([&](TenantId id, const obs::TenantCounters &c) {
-            st.tenantRows.insert(st.tenantRows.end(),
-                                 {id, c.iommuVbaTranslations,
-                                  c.iommuVbaFaults,
-                                  c.iommuPageWalkFrames});
-        });
-        acct.forEachDevice([&](DevId d, TenantId id,
-                               const obs::DeviceTenantCounters &c) {
+        acct.forEachRow([&](DevId d, TenantId id,
+                            const obs::TenantCounters &c) {
             st.tenantRows.insert(st.tenantRows.end(),
                                  {d, id, c.iommuVbaTranslations,
                                   c.iommuVbaFaults,
@@ -410,6 +404,28 @@ TEST_F(IommuFixture, DmaIsolatedByPasid)
     iommu.mapDma(kP, 0x9000000, std::span(buf), true);
     EXPECT_FALSE(iommu.resolveDma(kP + 1, 0x9000000, 100, true)
                      .has_value());
+}
+
+TEST_F(IommuFixture, DmaLookupNeverCrossesPasids)
+{
+    // Two PASIDs register the same IOVA; each resolves to its own.
+    std::vector<std::uint8_t> a(4096), b(4096), c(4096);
+    iommu.mapDma(kP, 0x9000000, std::span(a), true);
+    iommu.mapDma(kP + 1, 0x9000000, std::span(b), true);
+    const auto ra = iommu.resolveDma(kP, 0x9000000 + 16, 100, true);
+    const auto rb = iommu.resolveDma(kP + 1, 0x9000000 + 16, 100, true);
+    ASSERT_TRUE(ra.has_value());
+    ASSERT_TRUE(rb.has_value());
+    EXPECT_EQ(ra->data(), a.data() + 16);
+    EXPECT_EQ(rb->data(), b.data() + 16);
+
+    // kP + 2's lowest registration is above the probe, and kP + 1's
+    // buffer, just before it in the (pasid, iova) order, covers the
+    // probe: stepping back across PASIDs would resolve into b.
+    iommu.mapDma(kP + 2, 0x9100000, std::span(c), true);
+    EXPECT_FALSE(iommu.resolveDma(kP + 2, 0x9000000 + 16, 100, true)
+                     .has_value());
+    EXPECT_TRUE(iommu.resolveDma(kP + 2, 0x9100000, 100, true).has_value());
 }
 
 TEST_F(IommuFixture, DmaUnmapRevokes)

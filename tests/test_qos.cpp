@@ -418,8 +418,8 @@ expectThrottledDrain(Site site)
     // Pacing: 5 reads at 1 per ms need at least 4 ms of virtual time.
     EXPECT_GE(s.now() - start, 4 * kMs);
     EXPECT_EQ(s.verifyTenantSums(), "");
-    const obs::TenantCounters *row = s.tenantAccounting().find(p.pasid());
-    ASSERT_NE(row, nullptr);
+    const auto row = s.tenantAccounting().find(p.pasid());
+    ASSERT_TRUE(row.has_value());
     EXPECT_EQ(row->qosThrottles, reg.throttles());
     EXPECT_EQ(row->qosThrottledBytes, reg.throttledBytes());
     if (drv) {

@@ -5,13 +5,17 @@
  * counter, sum over tenants == system total, bit-exactly — on all five
  * engines; survival of the revocation fallback (work keeps landing on
  * the same tenant after the reader is pushed to the kernel path);
- * digest neutrality of enabling accounting; and tenant round-tripping
- * through the metrics snapshot and the replay stream.
+ * each verifyTenantSums check firing on a planted charge; digest
+ * neutrality of enabling accounting; the per-device metric groups
+ * folding to the totals; and tenant round-tripping through the
+ * metrics snapshot and the replay stream.
  */
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <memory>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,13 +50,43 @@ smallJob(wl::Engine e, wl::RwMode rw)
 }
 
 std::unique_ptr<sys::System>
-freshSystem(std::uint64_t seed = 7)
+freshSystem(std::uint64_t seed = 7, std::size_t maxDevices = 1)
 {
     sim::setVerbose(false);
     sys::SystemConfig cfg;
-    cfg.deviceBytes = 1ull << 30;
+    cfg.deviceBytes = 1ull << 30; // per slot
     cfg.seed = seed;
+    cfg.maxDevices = maxDevices;
     return std::make_unique<sys::System>(cfg);
+}
+
+/** A 3-device system after a write job homed files on every slot. */
+std::unique_ptr<sys::System>
+fleetAfterWrites()
+{
+    auto s = freshSystem(7, 3);
+    s->enableTenantAccounting();
+    wl::FioJob job = smallJob(wl::Engine::Sync, wl::RwMode::RandWrite);
+    job.numJobs = 4;
+    wl::FioRunner runner(*s);
+    runner.run(job);
+    return s;
+}
+
+/**
+ * Split a per-device key such as "ssd.dev2.ops" into its group and
+ * device ("ssd.dev2") and its name ("ops"); false for other keys.
+ */
+bool
+deviceKey(const std::string &key, std::string &group, std::string &name)
+{
+    static const std::regex re("^((ssd|iommu)\\.dev[0-9]+)\\.(.+)$");
+    std::smatch m;
+    if (!std::regex_match(key, m, re))
+        return false;
+    group = m[1];
+    name = m[3];
+    return true;
 }
 
 } // namespace
@@ -113,9 +147,8 @@ TEST(TenantSums, WritePathJournalAndCacheAttributed)
     EXPECT_GT(journal, 0u);
 
     // The buffered reader's hits and misses land on its own row.
-    const obs::TenantCounters *row
-        = s->tenantAccounting().find(p.pasid());
-    ASSERT_NE(row, nullptr);
+    const auto row = s->tenantAccounting().find(p.pasid());
+    ASSERT_TRUE(row.has_value());
     EXPECT_GT(row->fsPageCacheMisses, 0u);
     EXPECT_GT(row->fsPageCacheHits, 0u);
 }
@@ -178,12 +211,53 @@ TEST(TenantSums, SurvivesRevocationFallback)
 
     // Revocation is booked to the revoked tenant, and its ops keep
     // accruing on the same row after the fallback to the kernel path.
-    const obs::TenantCounters *row
-        = s->tenantAccounting().find(reader.pasid());
-    ASSERT_NE(row, nullptr);
+    const auto row = s->tenantAccounting().find(reader.pasid());
+    ASSERT_TRUE(row.has_value());
     EXPECT_EQ(row->bypassdRevokedVictims, 1u);
     EXPECT_GE(row->ssdOps, opsAfterRevoke);
     EXPECT_GT(row->kernSyscalls, 0u) << "fallback reads are syscalls";
+}
+
+TEST(TenantSums, UnmatchedChargeIsReported)
+{
+    auto s = freshSystem();
+    obs::TenantAccounting &acct = s->enableTenantAccounting();
+    wl::FioRunner runner(*s);
+    runner.run(smallJob(wl::Engine::Sync, wl::RwMode::RandWrite));
+    ASSERT_EQ(s->verifyTenantSums(), "");
+
+    // A charge with no matching system-total increment.
+    acct.of(kSystemTenant).fsJournalRecords++;
+    const std::string err = s->verifyTenantSums();
+    EXPECT_NE(err.find("fs.journal_records"), std::string::npos) << err;
+    EXPECT_NE(err.find("system total"), std::string::npos) << err;
+}
+
+TEST(TenantSums, ChargeOnTheWrongDeviceIsReported)
+{
+    auto s = fleetAfterWrites();
+    obs::TenantAccounting &acct = s->enableTenantAccounting();
+    ASSERT_EQ(s->verifyTenantSums(), "");
+
+    // Move one ssd.ops charge from slot 0's row to slot 1's: every
+    // system total still matches, but both devices' folds are off.
+    const DevId from = s->devices.slot(0).dev.devId();
+    const DevId to = s->devices.slot(1).dev.devId();
+    std::optional<TenantId> tenant;
+    acct.forEachRow(
+        [&](DevId d, TenantId t, const obs::TenantCounters &row) {
+            if (d == from && row.ssdOps > 0 && !tenant)
+                tenant = t;
+        });
+    ASSERT_TRUE(tenant.has_value());
+    acct.dev(from, *tenant).ssdOps--;
+    acct.dev(to, *tenant).ssdOps++;
+
+    const std::string err = s->verifyTenantSums();
+    EXPECT_NE(err.find("ssd.ops"), std::string::npos) << err;
+    EXPECT_NE(err.find(sim::strf("device %u total", unsigned(from))),
+              std::string::npos)
+        << err;
 }
 
 TEST(TenantSums, DisabledAccountingReportsNothing)
@@ -235,6 +309,74 @@ TEST(TenantMetrics, ScopedSnapshotsSumToTotals)
         ASSERT_NE(it, snap.counters.end()) << key;
         EXPECT_EQ(tenantSum, it->second) << key;
     }
+}
+
+TEST(TenantMetrics, SingleDeviceExportsNoDeviceGroups)
+{
+    auto s = freshSystem();
+    s->enableTenantAccounting();
+    wl::FioRunner runner(*s);
+    runner.run(smallJob(wl::Engine::Bypassd, wl::RwMode::RandRead));
+    s->collectMetrics();
+
+    const obs::MetricsSnapshot snap = s->metrics.snapshot();
+    ASSERT_FALSE(snap.tenants.empty());
+    std::string group, name;
+    auto expectNone = [&](const obs::MetricsSnapshot &m) {
+        EXPECT_EQ(m.counters.count("ssd.media_errors"), 0u);
+        for (const auto &[key, v] : m.counters)
+            EXPECT_FALSE(deviceKey(key, group, name)) << key;
+    };
+    expectNone(snap);
+    for (const auto &[id, sub] : snap.tenants)
+        expectNone(sub);
+}
+
+TEST(TenantMetrics, DeviceGroupsFoldToTotals)
+{
+    auto s = fleetAfterWrites();
+    s->collectMetrics();
+    const obs::MetricsSnapshot snap = s->metrics.snapshot();
+
+    // Each per-tenant device group, summed over tenants, equals the
+    // system-level group of that device.
+    std::map<std::string, std::uint64_t> tenantSums;
+    std::string group, name;
+    for (const auto &[id, sub] : snap.tenants)
+        for (const auto &[key, v] : sub.counters)
+            if (deviceKey(key, group, name))
+                tenantSums[key] += v;
+    ASSERT_FALSE(tenantSums.empty());
+    for (const auto &[key, sum] : tenantSums) {
+        const auto it = snap.counters.find(key);
+        ASSERT_NE(it, snap.counters.end()) << key;
+        EXPECT_EQ(sum, it->second) << key;
+    }
+
+    // The system-level device groups, summed over devices, equal the
+    // system totals; and the traffic really reached several devices.
+    std::map<std::string, std::uint64_t> deviceSums;
+    unsigned busyDevices = 0;
+    for (const auto &[key, v] : snap.counters) {
+        if (!deviceKey(key, group, name) || name == "evicted")
+            continue;
+        const std::string total
+            = group.substr(0, group.find('.')) + "." + name;
+        deviceSums[total] += v;
+        if (name == "ops" && v > 0)
+            busyDevices++;
+    }
+    EXPECT_EQ(busyDevices, 3u);
+    for (const char *total :
+         {"ssd.ops", "ssd.read_bytes", "ssd.write_bytes",
+          "ssd.translation_faults", "ssd.media_errors",
+          "iommu.vba_translations", "iommu.vba_faults",
+          "iommu.page_walk_frames"}) {
+        ASSERT_EQ(deviceSums.count(total), 1u) << total;
+        ASSERT_EQ(snap.counters.count(total), 1u) << total;
+        EXPECT_EQ(deviceSums[total], snap.counters.at(total)) << total;
+    }
+    EXPECT_EQ(deviceSums.size(), 8u);
 }
 
 TEST(TenantReplay, StreamCarriesTenantAndRoundTrips)
