@@ -7,6 +7,7 @@
 #ifndef BPD_BENCH_COMMON_HPP
 #define BPD_BENCH_COMMON_HPP
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -17,11 +18,38 @@
 
 #include "obs/export.hpp"
 #include "obs/replay.hpp"
+#include "sim/fnv.hpp"
 #include "sim/logging.hpp"
+#include "sim/stats.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
 
 namespace bpd::bench {
+
+using sim::fnv;
+using sim::kFnvSeed;
+
+/** Fold a latency histogram's shape into the digest @p h. */
+inline std::uint64_t
+hashHistogram(std::uint64_t h, const sim::Histogram &hist)
+{
+    h = fnv(h, hist.count());
+    h = fnv(h, hist.min());
+    h = fnv(h, hist.max());
+    h = fnv(h, hist.p50());
+    h = fnv(h, hist.p99());
+    h = fnv(h, hist.p999());
+    return h;
+}
+
+/** Host wall-clock seconds (steady clock), for run-time fields. */
+inline double
+wallNow()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
 
 /** Print a banner naming the experiment and the paper artifact. */
 inline void

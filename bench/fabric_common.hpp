@@ -1,8 +1,7 @@
 /**
  * @file
  * Shared helpers for the fabric bench binaries (fabric_fio,
- * fabric_incast): the FNV digest fold every fleet scenario uses, the
- * executor/bookkeeping JSON fields, and per-connection / per-reactor
+ * fabric_incast): the executor/bookkeeping JSON fields, and per-connection / per-reactor
  * emission from the target's tables. Everything here is a pure
  * function of simulation state, so two binaries folding the same state
  * produce the same digest — the property the 1/2/4-shard CI gates
@@ -12,7 +11,6 @@
 #ifndef BPD_BENCH_FABRIC_COMMON_HPP
 #define BPD_BENCH_FABRIC_COMMON_HPP
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -22,38 +20,6 @@
 #include "system/fleet.hpp"
 
 namespace bpd::bench {
-
-inline std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ull;
-
-inline std::uint64_t
-hashHistogram(std::uint64_t h, const sim::Histogram &hist)
-{
-    h = fnv(h, hist.count());
-    h = fnv(h, hist.min());
-    h = fnv(h, hist.max());
-    h = fnv(h, hist.p50());
-    h = fnv(h, hist.p99());
-    h = fnv(h, hist.p999());
-    return h;
-}
-
-inline double
-wallNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Shared executor/bookkeeping fields every fleet scenario emits. */
 inline void

@@ -54,19 +54,12 @@
 #include "workloads/fio.hpp"
 
 using namespace bpd;
+using bench::fnv;
+using bench::hashHistogram;
+using bench::kFnvSeed;
+using bench::wallNow;
 
 namespace {
-
-/** FNV-1a over 64-bit words; chained across all scenario outputs. */
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::uint64_t
 fnvDouble(std::uint64_t h, double d)
@@ -74,20 +67,6 @@ fnvDouble(std::uint64_t h, double d)
     std::uint64_t bits;
     std::memcpy(&bits, &d, sizeof(bits));
     return fnv(h, bits);
-}
-
-constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ull;
-
-std::uint64_t
-hashHistogram(std::uint64_t h, const sim::Histogram &hist)
-{
-    h = fnv(h, hist.count());
-    h = fnv(h, hist.min());
-    h = fnv(h, hist.max());
-    h = fnv(h, hist.p50());
-    h = fnv(h, hist.p99());
-    h = fnv(h, hist.p999());
-    return h;
 }
 
 struct ScenarioResult
@@ -174,17 +153,9 @@ bindSingle(sys::System &s, unsigned shards, const std::string &label)
     if (shards <= 1)
         return nullptr;
     auto ex = std::make_unique<sim::SimExecutor>(shards);
-    const std::uint32_t dom = ex->addDomain(s.eq, 0, label);
-    s.bindExecutor(ex.get(), dom);
+    ex->addDomain(s.eq, 0, label);
+    s.bindExecutor(ex.get());
     return ex;
-}
-
-double
-wallNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 /** Fig. 9 cell: 24 threads of 4 KiB BypassD random reads. */

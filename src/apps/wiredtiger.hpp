@@ -80,8 +80,6 @@ class WiredTigerModel
     std::uint64_t pageOffset(unsigned level, std::uint64_t idx) const;
     ///@}
 
-    std::uint64_t cachePages() const { return cacheCapacity_; }
-
   private:
     struct CacheEntry
     {

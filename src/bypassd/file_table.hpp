@@ -62,7 +62,6 @@ class FileTableCache
     void shrinkTo(std::uint64_t blocks);
 
     DevId devId() const { return dev_; }
-    BlockNo pblkBias() const { return bias_; }
     std::uint64_t mappedBlocks() const { return mappedBlocks_; }
 
     /** Shared leaf frames in file order. */

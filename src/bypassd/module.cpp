@@ -134,14 +134,6 @@ BypassdModule::fmap(kern::Process &p, InodeNum inoNum, bool writable)
         return reject(p, res, inoNum);
     writable = writable && mayWrite;
 
-    // Stale revocation state clears once every opener is gone.
-    if (revoked_.count(inoNum) && ino->bypassdOpeners.empty()
-        && ino->kernelOpens == 0) {
-        revoked_.erase(inoNum);
-        ino->metadataMultiWriter = false;
-        ino->lastMetadataWriter = 0;
-    }
-
     // Eligibility (Sections 3.6, 4.5.2): reject when the file is open
     // through the kernel interface, when access was revoked, or when
     // multiple processes have been changing its metadata.
@@ -270,12 +262,6 @@ BypassdModule::funmap(kern::Process &p, InodeNum inoNum)
     if (cache)
         detachOne(p, *ino, *cache, /*quarantineVa=*/false);
     releaseQuarantine(p, inoNum);
-    if (revoked_.count(inoNum) && ino->bypassdOpeners.empty()
-        && ino->kernelOpens == 0) {
-        revoked_.erase(inoNum);
-        ino->metadataMultiWriter = false;
-        ino->lastMetadataWriter = 0;
-    }
 }
 
 void
@@ -338,6 +324,19 @@ BypassdModule::onKernelOpen(fs::Inode &ino)
     // revoke direct access (Section 4.5.2).
     if (!ino.bypassdOpeners.empty())
         revoke(ino);
+}
+
+void
+BypassdModule::onLastClose(fs::Inode &ino)
+{
+    // A revoked file stays on the kernel interface while anyone still
+    // holds it open, however often its openers fault and re-fmap
+    // (Section 3.6). With every open closed, the revocation and the
+    // metadata-writer history it rested on are gone.
+    if (revoked_.erase(ino.ino) == 0)
+        return;
+    ino.metadataMultiWriter = false;
+    ino.lastMetadataWriter = 0;
 }
 
 void

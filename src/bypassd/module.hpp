@@ -106,6 +106,9 @@ class BypassdModule : public kern::BypassdHooks
     void onExtentsAdded(fs::Inode &ino,
                         const std::vector<fs::Extent> &added) override;
     void onTruncated(fs::Inode &ino) override;
+    /** Lifts a revocation: once no one holds the file open, the next
+     *  open is a new grant. */
+    void onLastClose(fs::Inode &ino) override;
     ///@}
 
     /** Is direct access currently revoked for this inode? */

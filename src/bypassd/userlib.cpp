@@ -181,43 +181,45 @@ UserLib::pread(Tid tid, int fd, std::span<std::uint8_t> buf,
 {
     FileInfo *fi = info(fd);
     if (!fi || !(fi->flags & fs::kOpenRead)) {
-        kernel_.eq().after(kernel_.costs().userlibSubmitNs,
-                           [cb = std::move(cb)]() {
-                               cb(kern::errOf(fs::FsStatus::Inval),
-                                  kern::IoTrace{});
-                           });
+        failInval(kern::Request(std::move(cb), proc_.pasid()));
         return;
     }
-    const obs::TraceId trace
-        = kern::openRequest(kernel_.tracer(), proc_.pasid(), "bypassd.pread",
-                            "bypassd.p", proc_.pid(), cb);
-    preadResume(tid, fd, buf, off, std::move(cb), trace);
+    preadResume(tid, fd, buf, off,
+                kern::openRequest(kernel_.tracer(), proc_.pasid(),
+                                  "bypassd.pread", "bypassd.p", proc_.pid(),
+                                  std::move(cb)));
+}
+
+void
+UserLib::failInval(kern::Request req)
+{
+    kernel_.eq().after(kernel_.costs().userlibSubmitNs,
+                       [req = std::move(req)]() mutable {
+                           req.finish(kern::errOf(fs::FsStatus::Inval),
+                                      kern::IoTrace{});
+                       });
 }
 
 void
 UserLib::preadResume(Tid tid, int fd, std::span<std::uint8_t> buf,
-                     std::uint64_t off, kern::IoCb cb, obs::TraceId trace)
+                     std::uint64_t off, kern::Request req)
 {
     FileInfo *fi = info(fd);
     if (!fi) {
-        kernel_.eq().after(kernel_.costs().userlibSubmitNs,
-                           [cb = std::move(cb)]() {
-                               cb(kern::errOf(fs::FsStatus::Inval),
-                                  kern::IoTrace{});
-                           });
+        failInval(std::move(req));
         return;
     }
     if (!fi->direct) {
         fallbackOps_++;
-        kernel_.sysPread(proc_, fd, buf, off, std::move(cb), trace);
+        kernel_.sysPread(proc_, fd, buf, off, std::move(req));
         return;
     }
     // Non-blocking-write mode: reads must observe buffered writes.
     if (cfg_.nonBlockingWrites
-        && consultPendingWrites(tid, fd, buf, off, cb, trace)) {
+        && consultPendingWrites(tid, fd, buf, off, req)) {
         return;
     }
-    directRead(tid, fd, buf, off, std::move(cb), trace);
+    directRead(tid, fd, buf, off, std::move(req));
 }
 
 void
@@ -226,56 +228,47 @@ UserLib::pwrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
 {
     FileInfo *fi = info(fd);
     if (!fi || !(fi->flags & fs::kOpenWrite)) {
-        kernel_.eq().after(kernel_.costs().userlibSubmitNs,
-                           [cb = std::move(cb)]() {
-                               cb(kern::errOf(fs::FsStatus::Inval),
-                                  kern::IoTrace{});
-                           });
+        failInval(kern::Request(std::move(cb), proc_.pasid()));
         return;
     }
-    const obs::TraceId trace
-        = kern::openRequest(kernel_.tracer(), proc_.pasid(),
-                            "bypassd.pwrite", "bypassd.p", proc_.pid(), cb);
-    pwriteResume(tid, fd, buf, off, std::move(cb), trace);
+    pwriteResume(tid, fd, buf, off,
+                 kern::openRequest(kernel_.tracer(), proc_.pasid(),
+                                   "bypassd.pwrite", "bypassd.p",
+                                   proc_.pid(), std::move(cb)));
 }
 
 void
 UserLib::pwriteResume(Tid tid, int fd, std::span<const std::uint8_t> buf,
-                      std::uint64_t off, kern::IoCb cb, obs::TraceId trace)
+                      std::uint64_t off, kern::Request req)
 {
     FileInfo *fi = info(fd);
     if (!fi) {
-        kernel_.eq().after(kernel_.costs().userlibSubmitNs,
-                           [cb = std::move(cb)]() {
-                               cb(kern::errOf(fs::FsStatus::Inval),
-                                  kern::IoTrace{});
-                           });
+        failInval(std::move(req));
         return;
     }
     if (!fi->direct) {
         fallbackOps_++;
-        kernel_.sysPwrite(proc_, fd, buf, off, std::move(cb), trace);
+        kernel_.sysPwrite(proc_, fd, buf, off, std::move(req));
         return;
     }
     if (off + buf.size() > fi->size) {
-        appendWrite(tid, fd, buf, off, std::move(cb), trace);
+        appendWrite(tid, fd, buf, off, std::move(req));
         return;
     }
     const bool partial = (off % kSectorBytes) != 0
                          || (buf.size() % kSectorBytes) != 0;
     if (partial)
-        partialWrite(tid, fd, buf, off, std::move(cb), trace);
+        partialWrite(tid, fd, buf, off, std::move(req));
     else if (cfg_.nonBlockingWrites)
-        nonBlockingWrite(tid, fd, buf, off, std::move(cb), trace);
+        nonBlockingWrite(tid, fd, buf, off, std::move(req));
     else
-        directOverwrite(tid, fd, buf, off, std::move(cb), trace);
+        directOverwrite(tid, fd, buf, off, std::move(req));
 }
 
 void
 UserLib::nonBlockingWrite(Tid tid, int fd,
                           std::span<const std::uint8_t> buf,
-                          std::uint64_t off, kern::IoCb cb,
-                          obs::TraceId trace)
+                          std::uint64_t off, kern::Request req)
 {
     FileInfo *fi = info(fd);
     const std::uint64_t end = off + buf.size();
@@ -287,13 +280,13 @@ UserLib::nonBlockingWrite(Tid tid, int fd,
         if (off < pend && poff < end) {
             auto data = std::make_shared<std::vector<std::uint8_t>>(
                 buf.begin(), buf.end());
-            pw->waiters.push_back([this, tid, fd, data, off, trace,
-                                   cb = std::move(cb)]() {
+            pw->waiters.push_back([this, tid, fd, data, off,
+                                   req = std::move(req)]() mutable {
                 nonBlockingWrite(
                     tid, fd,
                     std::span<const std::uint8_t>(data->data(),
                                                   data->size()),
-                    off, cb, trace);
+                    off, std::move(req));
             });
             return;
         }
@@ -306,22 +299,10 @@ UserLib::nonBlockingWrite(Tid tid, int fd,
     pw->data.assign(buf.begin(), buf.end());
     fi->pendingWrites[off] = pw;
 
-    // The caller sees completion right after the buffer copy.
-    const kern::CostModel &c = kernel_.costs();
-    const Time ackCost = kernel_.cpu().scaled(c.userlibSubmitNs
-                                              + c.copyCost(buf.size()));
-    const Time start = kernel_.eq().now();
-    kernel_.eq().after(ackCost, [start, n = buf.size(), this,
-                                 cb = std::move(cb)]() {
-        kern::IoTrace tr;
-        tr.userNs = kernel_.eq().now() - start;
-        cb(static_cast<long long>(n), tr);
-    });
-
-    // Background device write from the pending buffer (its own pinned
-    // staging area, so per-thread DMA buffers stay free for reads).
-    auto issue = std::make_shared<std::function<void()>>();
-    auto complete = [this, fd, pw, issue]() {
+    // The device write keeps the request's trace id; it completes once
+    // the data is on the device, waking readers and fsync() drains.
+    kern::Request behind = req.child([this, fd, pw](long long,
+                                                    kern::IoTrace) {
         FileInfo *fi2 = info(fd);
         if (fi2) {
             fi2->pendingWrites.erase(pw->off);
@@ -337,52 +318,29 @@ UserLib::nonBlockingWrite(Tid tid, int fd,
             for (auto &w : pw->waiters)
                 w();
         }
-        // Break the issue-closure reference cycle now that the write is
-        // done (it captures this shared function object for retries).
-        *issue = nullptr;
-    };
+    });
 
-    *issue = [this, tid, fd, pw, off, trace, issue, complete]() {
-        FileInfo *fi2 = info(fd);
-        if (!fi2 || !fi2->direct) {
-            // Revoked or closed: write back through the kernel.
-            kernel_.sysPwrite(proc_, fd,
-                              std::span<const std::uint8_t>(
-                                  pw->data.data(), pw->data.size()),
-                              off,
-                              [complete](long long, kern::IoTrace) {
-                                  complete();
-                              },
-                              trace);
-            return;
-        }
-        ssd::Command cmd;
-        cmd.op = ssd::Op::Write;
-        cmd.addr = fi2->vba + off;
-        cmd.addrIsVba = true;
-        cmd.len = static_cast<std::uint32_t>(pw->data.size());
-        cmd.hostBuf = std::span<std::uint8_t>(pw->data.data(),
-                                              pw->data.size());
-        cmd.trace = trace;
-        submitWithRetry(uq(tid, fi2->slot), cmd,
-                        [this, fd, trace, issue, complete](
-                            const ssd::Completion &comp) {
-            if (comp.status != ssd::Status::Success) {
-                handleFault(fd, [issue]() { (*issue)(); },
-                            [issue]() { (*issue)(); }, trace);
-                return;
-            }
-            complete();
-        });
-    };
-    (*issue)();
+    // The caller sees completion right after the buffer copy.
+    const kern::CostModel &c = kernel_.costs();
+    const Time ackCost = kernel_.cpu().scaled(c.userlibSubmitNs
+                                              + c.copyCost(buf.size()));
+    const Time start = kernel_.eq().now();
+    kernel_.eq().after(ackCost, [start, n = buf.size(), this,
+                                 req = std::move(req)]() mutable {
+        kern::IoTrace tr;
+        tr.userNs = kernel_.eq().now() - start;
+        req.finish(static_cast<long long>(n), tr);
+    });
+
+    // Background device write from the pending buffer (its own pinned
+    // staging area, so per-thread DMA buffers stay free for reads).
+    writeBehind(tid, fd, std::move(pw), std::move(behind));
 }
 
 bool
 UserLib::consultPendingWrites(Tid tid, int fd,
                               std::span<std::uint8_t> buf,
-                              std::uint64_t off, const kern::IoCb &cb,
-                              obs::TraceId trace)
+                              std::uint64_t off, kern::Request &req)
 {
     FileInfo *fi = info(fd);
     if (!fi || fi->pendingWrites.empty())
@@ -414,10 +372,11 @@ UserLib::consultPendingWrites(Tid tid, int fd,
             const Time start = kernel_.eq().now();
             std::memcpy(buf.data(), pw->data.data() + (off - pw->off),
                         n);
-            kernel_.eq().after(cost, [start, n, this, cb]() {
+            kernel_.eq().after(cost, [start, n, this,
+                                      req = std::move(req)]() mutable {
                 kern::IoTrace tr;
                 tr.userNs = kernel_.eq().now() - start;
-                cb(static_cast<long long>(n), tr);
+                req.finish(static_cast<long long>(n), tr);
             });
             return true;
         }
@@ -425,12 +384,16 @@ UserLib::consultPendingWrites(Tid tid, int fd,
 
     // Partial overlap: wait for the overlapping writes to reach the
     // device, then read normally (the device is the point of coherence).
-    auto remaining = std::make_shared<std::size_t>(overlaps.size());
+    struct Wait
+    {
+        std::size_t remaining;
+        kern::Request req;
+    };
+    auto wait = std::make_shared<Wait>(Wait{overlaps.size(), std::move(req)});
     for (auto &pw : overlaps) {
-        pw->waiters.push_back([this, tid, fd, buf, off, cb, trace,
-                               remaining]() {
-            if (--*remaining == 0)
-                preadResume(tid, fd, buf, off, cb, trace);
+        pw->waiters.push_back([this, tid, fd, buf, off, wait]() {
+            if (--wait->remaining == 0)
+                preadResume(tid, fd, buf, off, std::move(wait->req));
         });
     }
     return true;
@@ -475,50 +438,84 @@ UserLib::submitNow(UserQueues &q, const ssd::Command &cmd,
     });
 }
 
+template <typename Resume>
 void
-UserLib::handleFault(int fd, std::function<void()> retryDirect,
-                     std::function<void()> fallbackKernel,
-                     obs::TraceId trace)
+UserLib::handleFault(int fd, kern::Request req, Resume resume)
 {
     iommuFaults_++;
     if (obs::Tracer *t = kernel_.tracer())
         t->instant(t->track("bypassd.p", proc_.pid()),
-                   "bypassd.iommu_fault", trace);
+                   "bypassd.iommu_fault", req.trace());
     FileInfo *fi = info(fd);
     if (!fi) {
-        fallbackKernel();
+        resume(std::move(req), false);
         return;
     }
     // Section 3.6 steps 3-5: re-fmap(); VBA 0 means the kernel refuses
     // direct access, so use the kernel interface from now on.
     FmapResult res = module_.fmap(proc_, fi->ino,
                                   (fi->flags & fs::kOpenWrite) != 0);
-    kernel_.eq().after(res.cost, [this, fd, res,
-                                  retryDirect = std::move(retryDirect),
-                                  fallbackKernel
-                                  = std::move(fallbackKernel)]() {
+    kernel_.eq().after(res.cost, [this, fd, vba = res.vba, slot = res.slot,
+                                  req = std::move(req),
+                                  resume = std::move(resume)]() mutable {
         FileInfo *fi = info(fd);
         if (!fi) {
-            fallbackKernel();
+            resume(std::move(req), false);
             return;
         }
-        if (res.vba != 0) {
-            fi->vba = res.vba;
-            fi->slot = res.slot;
+        if (vba != 0) {
+            fi->vba = vba;
+            fi->slot = slot;
             fi->direct = true;
-            retryDirect();
+            resume(std::move(req), true);
         } else {
             fi->direct = false;
             fi->vba = 0;
             fallbackOps_++;
-            fallbackKernel();
+            resume(std::move(req), false);
         }
     });
 }
 
 void
+UserLib::writeBehind(Tid tid, int fd,
+                     std::shared_ptr<FileInfo::PendingWrite> pw,
+                     kern::Request req)
+{
+    FileInfo *fi = info(fd);
+    if (!fi || !fi->direct) {
+        // Revoked or closed: write back through the kernel.
+        kernel_.sysPwrite(proc_, fd,
+                          std::span<const std::uint8_t>(pw->data.data(),
+                                                        pw->data.size()),
+                          pw->off, std::move(req));
+        return;
+    }
+    ssd::Command cmd;
+    cmd.op = ssd::Op::Write;
+    cmd.addr = fi->vba + pw->off;
+    cmd.addrIsVba = true;
+    cmd.len = static_cast<std::uint32_t>(pw->data.size());
+    cmd.hostBuf = std::span<std::uint8_t>(pw->data.data(), pw->data.size());
+    cmd.trace = req.trace();
+    submitWithRetry(uq(tid, fi->slot), cmd,
+                    [this, tid, fd, pw, req = std::move(req)](
+                        const ssd::Completion &comp) mutable {
+        if (comp.status != ssd::Status::Success) {
+            // Retry direct or through the kernel; writeBehind re-checks.
+            handleFault(fd, std::move(req),
+                        [this, tid, fd, pw](kern::Request r, bool) {
+                            writeBehind(tid, fd, pw, std::move(r));
+                        });
+            return;
+        }
+        req.finish(static_cast<long long>(pw->data.size()), kern::IoTrace{});
+    });
+}
+
+void
 UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
-                    std::uint64_t off, kern::IoCb cb, obs::TraceId trace)
+                    std::uint64_t off, kern::Request req)
 {
     FileInfo *fi = info(fd);
     const Time start = kernel_.eq().now();
@@ -536,10 +533,10 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
             const Time statCost = kernel_.cpu().scaled(
                 c.userToKernelNs + 500 + c.kernelToUserNs);
             kernel_.eq().after(statCost,
-                               [this, tid, fd, buf, off, trace,
-                                cb = std::move(cb)]() mutable {
+                               [this, tid, fd, buf, off,
+                                req = std::move(req)]() mutable {
                                    directRead(tid, fd, buf, off,
-                                              std::move(cb), trace);
+                                              std::move(req));
                                });
             return;
         }
@@ -551,8 +548,8 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
               : std::min<std::uint64_t>(buf.size(), fi->size - off);
     if (n == 0) {
         kernel_.eq().after(kernel_.cpu().scaled(c.userlibSubmitNs),
-                           [cb = std::move(cb)]() {
-                               cb(0, kern::IoTrace{});
+                           [req = std::move(req)]() mutable {
+                               req.finish(0, kern::IoTrace{});
                            });
         return;
     }
@@ -565,15 +562,15 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
     sim::panicIf(len > q->dmaBuf.size(), "request exceeds DMA buffer");
 
     directReads_++;
-    // Each stage moves the caller's callback on: the lambdas are
-    // mutable, or std::move(cb) would copy it.
+    // Each stage moves the request on (the lambdas are mutable, or
+    // std::move(req) would not compile).
     const Time submitCost = kernel_.cpu().scaled(c.userlibSubmitNs);
     kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, aStart,
-                                    len, q, start, trace,
-                                    cb = std::move(cb)]() mutable {
+                                    len, q, start,
+                                    req = std::move(req)]() mutable {
         FileInfo *fi = info(fd);
         if (!fi) {
-            cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
+            req.finish(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
             return;
         }
         ssd::Command cmd;
@@ -583,22 +580,23 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
         cmd.len = len;
         cmd.dmaIova = q->dmaIova;
         cmd.useIova = true;
-        cmd.trace = trace;
+        cmd.trace = req.trace();
         const Time tSubmit = kernel_.eq().now();
         submitWithRetry(*q, cmd,
-                        [this, tid, fd, buf, off, n, aStart, q,
-                         start, tSubmit, trace, cb = std::move(cb)](
+                        [this, tid, fd, buf, off, n, aStart, q, start,
+                         tSubmit, req = std::move(req)](
                             const ssd::Completion &comp) mutable {
             if (comp.status != ssd::Status::Success) {
-                handleFault(
-                    fd,
-                    [this, tid, fd, buf, off, trace, cb]() {
-                        directRead(tid, fd, buf, off, cb, trace);
-                    },
-                    [this, fd, buf, off, trace, cb]() {
-                        kernel_.sysPread(proc_, fd, buf, off, cb, trace);
-                    },
-                    trace);
+                handleFault(fd, std::move(req),
+                            [this, tid, fd, buf, off](kern::Request r,
+                                                      bool direct) {
+                                if (direct)
+                                    directRead(tid, fd, buf, off,
+                                               std::move(r));
+                                else
+                                    kernel_.sysPread(proc_, fd, buf, off,
+                                                     std::move(r));
+                            });
                 return;
             }
             // Copy from the DMA buffer into the user buffer (the main
@@ -611,14 +609,14 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
             // touch() is deferred to close/fsync (Section 4.4); nothing
             // to do per-op.
             kernel_.eq().after(post, [this, n, start, tSubmit, comp,
-                                      cb = std::move(cb)]() {
+                                      req = std::move(req)]() mutable {
                 kern::IoTrace tr;
                 const Time total = kernel_.eq().now() - start;
                 tr.translateNs = comp.translateNs;
                 tr.deviceNs = comp.completeTime - tSubmit
                               - comp.translateNs;
                 tr.userNs = total - tr.deviceNs - tr.translateNs;
-                cb(static_cast<long long>(n), tr);
+                req.finish(static_cast<long long>(n), tr);
             });
         });
     });
@@ -627,8 +625,7 @@ UserLib::directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
 void
 UserLib::directOverwrite(Tid tid, int fd,
                          std::span<const std::uint8_t> buf,
-                         std::uint64_t off, kern::IoCb cb,
-                         obs::TraceId trace)
+                         std::uint64_t off, kern::Request req)
 {
     FileInfo *fi = info(fd);
     const Time start = kernel_.eq().now();
@@ -642,12 +639,11 @@ UserLib::directOverwrite(Tid tid, int fd,
     const Time submitCost
         = kernel_.cpu().scaled(c.userlibSubmitNs + c.copyCost(n));
     std::memcpy(q->dmaBuf.data(), buf.data(), n);
-    kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, q,
-                                    start, trace,
-                                    cb = std::move(cb)]() mutable {
+    kernel_.eq().after(submitCost, [this, tid, fd, buf, off, n, q, start,
+                                    req = std::move(req)]() mutable {
         FileInfo *fi = info(fd);
         if (!fi) {
-            cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
+            req.finish(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
             return;
         }
         ssd::Command cmd;
@@ -657,35 +653,36 @@ UserLib::directOverwrite(Tid tid, int fd,
         cmd.len = static_cast<std::uint32_t>(n);
         cmd.dmaIova = q->dmaIova;
         cmd.useIova = true;
-        cmd.trace = trace;
+        cmd.trace = req.trace();
         const Time tSubmit = kernel_.eq().now();
         submitWithRetry(*q, cmd,
                         [this, tid, fd, buf, off, n, start, tSubmit,
-                         trace, cb = std::move(cb)](
+                         req = std::move(req)](
                             const ssd::Completion &comp) mutable {
             if (comp.status != ssd::Status::Success) {
-                handleFault(
-                    fd,
-                    [this, tid, fd, buf, off, trace, cb]() {
-                        directOverwrite(tid, fd, buf, off, cb, trace);
-                    },
-                    [this, fd, buf, off, trace, cb]() {
-                        kernel_.sysPwrite(proc_, fd, buf, off, cb, trace);
-                    },
-                    trace);
+                handleFault(fd, std::move(req),
+                            [this, tid, fd, buf, off](kern::Request r,
+                                                      bool direct) {
+                                if (direct)
+                                    directOverwrite(tid, fd, buf, off,
+                                                    std::move(r));
+                                else
+                                    kernel_.sysPwrite(proc_, fd, buf, off,
+                                                      std::move(r));
+                            });
                 return;
             }
             const Time post
                 = kernel_.cpu().scaled(kernel_.costs().userlibCompleteNs);
             kernel_.eq().after(post, [this, n, start, tSubmit, comp,
-                                      cb = std::move(cb)]() {
+                                      req = std::move(req)]() mutable {
                 kern::IoTrace tr;
                 const Time total = kernel_.eq().now() - start;
                 // Writes overlap translation with data-in (Section 4.3).
                 tr.translateNs = 0;
                 tr.deviceNs = comp.completeTime - tSubmit;
                 tr.userNs = total - tr.deviceNs;
-                cb(static_cast<long long>(n), tr);
+                req.finish(static_cast<long long>(n), tr);
             });
         });
     });
@@ -693,7 +690,7 @@ UserLib::directOverwrite(Tid tid, int fd,
 
 void
 UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
-                      std::uint64_t off, kern::IoCb cb, obs::TraceId trace)
+                      std::uint64_t off, kern::Request req)
 {
     FileInfo *fi = info(fd);
     const std::uint64_t firstSec = off / kSectorBytes;
@@ -708,8 +705,7 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
             pw.fd = fd;
             pw.data.assign(buf.begin(), buf.end());
             pw.off = off;
-            pw.cb = std::move(cb);
-            pw.trace = trace;
+            pw.req = std::move(req);
             fi->pendingPartials.push_back(std::move(pw));
             return;
         }
@@ -726,26 +722,27 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
 
     auto data = std::make_shared<std::vector<std::uint8_t>>(buf.begin(),
                                                             buf.end());
-    // finish keeps `data` alive: the kernel-fallback paths hand
-    // sysPwrite a span into it that is used asynchronously.
-    auto finish = [this, fd, firstSec, lastSec, data,
-                   cb](long long result, kern::IoTrace tr) {
-        FileInfo *fi2 = info(fd);
-        if (fi2) {
+    // However the write completes, its sectors are released, then the
+    // caller sees it, then a serialized partial may go. The stage also
+    // keeps `data` alive: the kernel-fallback paths hand sysPwrite a
+    // span into it that is used asynchronously.
+    req.intercept([this, fd, firstSec, lastSec,
+                   data](long long n, kern::IoTrace tr, kern::Request up) {
+        if (FileInfo *fi2 = info(fd)) {
             for (std::uint64_t s = firstSec; s <= lastSec; s++)
                 fi2->inflightSectors.erase(s);
         }
-        cb(result, tr);
+        up.finish(n, tr);
         drainPendingPartials(fd);
-    };
+    });
     // The whole write through the kernel: the fallback when access is
     // gone, and the retry after a fault in either RMW phase (a fresh
     // direct RMW would have to re-enter the sector serialization).
-    auto viaKernel = [this, fd, data, off, trace, finish]() {
+    auto viaKernel = [this, fd, data, off](kern::Request r, bool) {
         kernel_.sysPwrite(
             proc_, fd,
             std::span<const std::uint8_t>(data->data(), data->size()), off,
-            finish, trace);
+            std::move(r));
     };
 
     const Time start = kernel_.eq().now();
@@ -753,11 +750,12 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
         = kernel_.cpu().scaled(kernel_.costs().userlibSubmitNs);
     directWrites_++;
     kernel_.eq().after(submitCost, [this, fd, data, off, aStart, len, q,
-                                    start, trace, finish, viaKernel]() {
+                                    start, viaKernel,
+                                    req = std::move(req)]() mutable {
         FileInfo *fi2 = info(fd);
         if (!fi2 || !fi2->direct) {
             // Revoked meanwhile: fall back through the kernel.
-            viaKernel();
+            viaKernel(std::move(req), false);
             return;
         }
         ssd::Command rd;
@@ -767,17 +765,19 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
         rd.len = len;
         rd.dmaIova = q->dmaIova;
         rd.useIova = true;
-        rd.trace = trace;
+        rd.trace = req.trace();
         submitWithRetry(*q, rd,
-                        [this, fd, data, off, aStart, len, q, start, trace,
-                         finish, viaKernel](const ssd::Completion &comp) {
+                        [this, fd, data, off, aStart, len, q, start,
+                         viaKernel, req = std::move(req)](
+                            const ssd::Completion &comp) mutable {
             if (comp.status != ssd::Status::Success) {
-                handleFault(fd, viaKernel, viaKernel, trace);
+                handleFault(fd, std::move(req), viaKernel);
                 return;
             }
             FileInfo *fi3 = info(fd);
             if (!fi3) {
-                finish(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
+                req.finish(kern::errOf(fs::FsStatus::Inval),
+                           kern::IoTrace{});
                 return;
             }
             // Modify the staged sectors with the user bytes.
@@ -786,12 +786,12 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
             const Time modCost = kernel_.cpu().scaled(
                 kernel_.costs().copyCost(data->size()));
             kernel_.eq().after(modCost, [this, fd, data, aStart, len, q,
-                                         start, trace, finish,
-                                         viaKernel]() {
+                                         start, viaKernel,
+                                         req = std::move(req)]() mutable {
                 FileInfo *fi4 = info(fd);
                 if (!fi4) {
-                    finish(kern::errOf(fs::FsStatus::Inval),
-                           kern::IoTrace{});
+                    req.finish(kern::errOf(fs::FsStatus::Inval),
+                               kern::IoTrace{});
                     return;
                 }
                 ssd::Command wr;
@@ -801,18 +801,19 @@ UserLib::partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
                 wr.len = len;
                 wr.dmaIova = q->dmaIova;
                 wr.useIova = true;
-                wr.trace = trace;
+                wr.trace = req.trace();
                 submitWithRetry(*q, wr,
-                                [this, fd, data, start, trace, finish,
-                                 viaKernel](const ssd::Completion &c2) {
+                                [this, fd, data, start, viaKernel,
+                                 req = std::move(req)](
+                                    const ssd::Completion &c2) mutable {
                     if (c2.status != ssd::Status::Success) {
-                        handleFault(fd, viaKernel, viaKernel, trace);
+                        handleFault(fd, std::move(req), viaKernel);
                         return;
                     }
                     kern::IoTrace tr;
                     tr.userNs = kernel_.costs().userlibCompleteNs;
                     tr.deviceNs = kernel_.eq().now() - start;
-                    finish(static_cast<long long>(data->size()), tr);
+                    req.finish(static_cast<long long>(data->size()), tr);
                 });
             });
         });
@@ -844,21 +845,20 @@ UserLib::drainPendingPartials(int fd)
         fi->pendingPartials.erase(it);
         auto data = std::make_shared<std::vector<std::uint8_t>>(
             std::move(pw.data));
+        // The data must outlive the write: a kernel path keeps its span.
+        pw.req.intercept([data](long long n, kern::IoTrace tr,
+                                kern::Request up) { up.finish(n, tr); });
         pwriteResume(
             pw.tid, pw.fd,
             std::span<const std::uint8_t>(data->data(), data->size()),
-            pw.off,
-            [data, cb = std::move(pw.cb)](long long n, kern::IoTrace tr) {
-                cb(n, tr);
-            },
-            pw.trace);
+            pw.off, std::move(pw.req));
         return;
     }
 }
 
 void
 UserLib::appendWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
-                     std::uint64_t off, kern::IoCb cb, obs::TraceId trace)
+                     std::uint64_t off, kern::Request req)
 {
     FileInfo *fi = info(fd);
     appendsRouted_++;
@@ -870,26 +870,27 @@ UserLib::appendWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
             fi->size = std::max(fi->size, off + buf.size());
             if ((off % kSectorBytes) != 0
                 || (buf.size() % kSectorBytes) != 0)
-                partialWrite(tid, fd, buf, off, std::move(cb), trace);
+                partialWrite(tid, fd, buf, off, std::move(req));
             else
-                directOverwrite(tid, fd, buf, off, std::move(cb), trace);
+                directOverwrite(tid, fd, buf, off, std::move(req));
             return;
         }
         const std::uint64_t chunk = std::max<std::uint64_t>(
             cfg_.appendPreallocBytes, buf.size());
+        // IntCb is copyable, so the request waits in a shared holder.
+        auto held = std::make_shared<kern::Request>(std::move(req));
         kernel_.sysFallocate(
             proc_, fd, fi->preallocEnd, chunk,
-            [this, tid, fd, buf, off, chunk, trace,
-             cb = std::move(cb)](int rc) {
+            [this, tid, fd, buf, off, chunk, held](int rc) {
                 FileInfo *fi2 = info(fd);
                 if (rc < 0 || !fi2) {
-                    cb(rc, kern::IoTrace{});
+                    held->finish(rc, kern::IoTrace{});
                     return;
                 }
                 fi2->preallocEnd += chunk;
                 // fallocate extended the inode size; keep padding
                 // invisible by tracking the logical size locally.
-                appendWrite(tid, fd, buf, off, cb, trace);
+                appendWrite(tid, fd, buf, off, std::move(*held));
             });
         return;
     }
@@ -898,20 +899,18 @@ UserLib::appendWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
     // allocates blocks, attaches new FTEs and writes unbuffered.
     fs::Inode *node = kernel_.vfs().fs().inode(fi->ino);
     sim::panicIf(node == nullptr, "append on dead inode");
-    kernel_.appendPath(
-        proc_, *node, buf, off,
-        [this, fd, cb = std::move(cb)](long long n, kern::IoTrace tr) {
-            FileInfo *fi2 = info(fd);
-            if (fi2 && n > 0) {
-                const fs::Inode *node2
-                    = kernel_.vfs().fs().inode(fi2->ino);
-                if (node2)
-                    fi2->size = node2->size;
-                fi2->preallocEnd = std::max(fi2->preallocEnd, fi2->size);
-            }
-            cb(n, tr);
-        },
-        trace);
+    req.intercept([this, fd](long long n, kern::IoTrace tr,
+                             kern::Request up) {
+        FileInfo *fi2 = info(fd);
+        if (fi2 && n > 0) {
+            const fs::Inode *node2 = kernel_.vfs().fs().inode(fi2->ino);
+            if (node2)
+                fi2->size = node2->size;
+            fi2->preallocEnd = std::max(fi2->preallocEnd, fi2->size);
+        }
+        up.finish(n, tr);
+    });
+    kernel_.appendPath(proc_, *node, buf, off, std::move(req));
 }
 
 void

@@ -119,8 +119,7 @@ class UserLib
             int fd;
             std::vector<std::uint8_t> data;
             std::uint64_t off;
-            kern::IoCb cb;
-            obs::TraceId trace = 0;
+            kern::Request req;
         };
         std::deque<PendingPartial> pendingPartials;
 
@@ -133,7 +132,7 @@ class UserLib
         {
             std::uint64_t off;
             std::vector<std::uint8_t> data;
-            std::vector<std::function<void()>> waiters;
+            std::vector<sim::EventQueue::Callback> waiters;
         };
         std::map<std::uint64_t, std::shared_ptr<PendingWrite>>
             pendingWrites;
@@ -149,51 +148,54 @@ class UserLib
     const FileInfo *info(int fd) const;
 
     /**
-     * Dispatch stages of pread/pwrite after the request envelope has
-     * been opened: re-dispatched requests (pending-write waiters,
-     * serialized partials) re-enter here so one logical request keeps
-     * one trace id and one envelope.
+     * Dispatch stages of pread/pwrite after the request has been
+     * opened: re-dispatched requests (pending-write waiters, serialized
+     * partials) re-enter here so one logical request keeps one trace id
+     * and one envelope.
      */
     void preadResume(Tid tid, int fd, std::span<std::uint8_t> buf,
-                     std::uint64_t off, kern::IoCb cb, obs::TraceId trace);
+                     std::uint64_t off, kern::Request req);
+    /** Fail @p req with -EINVAL after the library's submit cost. */
+    void failInval(kern::Request req);
     void pwriteResume(Tid tid, int fd, std::span<const std::uint8_t> buf,
-                      std::uint64_t off, kern::IoCb cb,
-                      obs::TraceId trace);
+                      std::uint64_t off, kern::Request req);
 
     void directRead(Tid tid, int fd, std::span<std::uint8_t> buf,
-                    std::uint64_t off, kern::IoCb cb, obs::TraceId trace);
+                    std::uint64_t off, kern::Request req);
     void directOverwrite(Tid tid, int fd,
                          std::span<const std::uint8_t> buf,
-                         std::uint64_t off, kern::IoCb cb,
-                         obs::TraceId trace);
+                         std::uint64_t off, kern::Request req);
     /** Section 5.1 non-blocking write path. */
     void nonBlockingWrite(Tid tid, int fd,
                           std::span<const std::uint8_t> buf,
-                          std::uint64_t off, kern::IoCb cb,
-                          obs::TraceId trace);
+                          std::uint64_t off, kern::Request req);
+    /** The device write behind an acknowledged non-blocking write;
+     *  @p req completes when @p pw is durable on the device. */
+    void writeBehind(Tid tid, int fd,
+                     std::shared_ptr<FileInfo::PendingWrite> pw,
+                     kern::Request req);
     /**
      * Read-side pending-write handling: serve fully-buffered reads from
      * the pending buffers; make partially-overlapping reads wait.
-     * @retval true when the read was fully handled here.
+     * @retval true when the read was taken over here (@p req moved).
      */
     bool consultPendingWrites(Tid tid, int fd,
                               std::span<std::uint8_t> buf,
-                              std::uint64_t off, const kern::IoCb &cb,
-                              obs::TraceId trace);
+                              std::uint64_t off, kern::Request &req);
     void drainPendingWrites(int fd, std::function<void()> done);
     void partialWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
-                      std::uint64_t off, kern::IoCb cb, obs::TraceId trace);
+                      std::uint64_t off, kern::Request req);
     void drainPendingPartials(int fd);
     void appendWrite(Tid tid, int fd, std::span<const std::uint8_t> buf,
-                     std::uint64_t off, kern::IoCb cb, obs::TraceId trace);
+                     std::uint64_t off, kern::Request req);
 
     /**
-     * IOMMU fault recovery (Section 3.6): re-fmap; retry on success,
-     * permanently fall back to the kernel interface on VBA 0.
+     * IOMMU fault recovery (Section 3.6): re-fmap, then hand @p req on
+     * as resume(req, direct): direct on success, false once VBA 0 has
+     * put the file on the kernel interface for good (or it was closed).
      */
-    void handleFault(int fd, std::function<void()> retryDirect,
-                     std::function<void()> fallbackKernel,
-                     obs::TraceId trace = 0);
+    template <typename Resume>
+    void handleFault(int fd, kern::Request req, Resume resume);
 
     void submitWithRetry(UserQueues &q, const ssd::Command &cmd,
                          ssd::CommandDispatcher::CompletionFn &&fn);

@@ -168,13 +168,16 @@ FabricInitiator::doIo(Tid tid, ssd::Op op, DevAddr addr,
     p.op = op;
     p.addr = addr;
     p.buf = buf;
-    p.cb = std::move(cb);
     p.start = host_.eq.now();
     p.tid = tid;
     p.inCapsule = op != ssd::Op::Write
                   || prof_.inCapsule(static_cast<std::uint32_t>(buf.size()));
-    if (obs::Tracer *t = host_.tracer())
-        p.trace = t->newTrace(pasid_);
+    // The envelope's track, the granted connection's, is named at
+    // completion: a connect may still be pending.
+    p.req = kern::openRequest(host_.tracer(), pasid_,
+                              op == ssd::Op::Write ? "fabric.write"
+                                                   : "fabric.read",
+                              nullptr, 0, std::move(cb));
     if (state_ == ConnState::Connecting) {
         stats_.queuedBeforeConnect++;
         preConnectQueue_.push_back(cid);
@@ -401,26 +404,19 @@ FabricInitiator::finishIo(
     kern::IoTrace tr;
     tr.deviceNs = deviceNs;
     tr.userNs = total - deviceNs;
-    // An evicted remote device fails distinctly so fabric clients can
-    // fail over, mirroring the local kernel path's ENODEV.
-    const long long res
-        = ok ? static_cast<long long>(p.buf.size())
-             : kern::errOf(st == ssd::Status::DeviceEvicted
-                               ? fs::FsStatus::NoDev
-                               : fs::FsStatus::Inval);
-    // The envelope is recorded here rather than by kern::openRequest at
-    // submission: only now is the granted connection's track known.
     if (obs::Tracer *t = host_.tracer()) {
         const std::uint16_t track = t->track("fabric.c", connId_);
-        t->span(track, "fabric.capsule", p.trace, p.start, now,
+        t->span(track, "fabric.capsule", p.req.trace(), p.start, now,
                 {{"conn", static_cast<std::int64_t>(connId_)},
                  {"in_capsule", p.inCapsule ? 1 : 0},
                  {"bytes", static_cast<std::int64_t>(p.buf.size())}});
-        t->request(track,
-                   p.op == ssd::Op::Write ? "fabric.write" : "fabric.read",
-                   p.trace, p.start, now, kern::breakdownOf(res, tr));
+        p.req.setTrack(track);
     }
-    p.cb(res, tr);
+    // An evicted remote device fails distinctly so fabric clients can
+    // fail over, mirroring the local kernel path's ENODEV.
+    p.req.finish(ok ? static_cast<long long>(p.buf.size())
+                    : kern::devErr(st),
+                 tr);
 }
 
 void
@@ -442,8 +438,8 @@ FabricInitiator::failIo(std::uint64_t cid, Time)
     // callback that resubmits or reconnects must observe the initiator
     // fully torn down (state Idle, depth slots released), not a
     // half-cleared one.
-    host_.eq.after(0, [cb = std::move(p.cb)] {
-        cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
+    host_.eq.after(0, [req = std::move(p.req)]() mutable {
+        req.cancel(kern::errOf(fs::FsStatus::Inval));
     });
 }
 

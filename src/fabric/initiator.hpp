@@ -160,10 +160,9 @@ class FabricInitiator
         ssd::Op op = ssd::Op::Read;
         DevAddr addr = 0;
         std::span<std::uint8_t> buf;
-        kern::IoCb cb;
+        kern::Request req;
         Time start = 0;
         Tid tid = 0;
-        obs::TraceId trace = 0;
         bool inCapsule = false;
         bool admitted = false; //!< holds one of the queueDepth slots
     };

@@ -78,7 +78,6 @@ class FabricTarget
      */
     bool serve();
 
-    bool serving() const { return serving_; }
     std::uint32_t domain() const { return domain_; }
     sys::System &system() { return sys_; }
     const FabricProfile &profile() const { return prof_; }

@@ -52,7 +52,6 @@ class BlockAllocator
 
     bool isAllocated(BlockNo b) const;
     std::uint64_t freeBlocks() const { return freeCount_; }
-    std::uint64_t totalBlocks() const { return total_; }
     BlockNo firstDataBlock() const { return firstData_; }
 
     /** Serialize for checkpointing. */

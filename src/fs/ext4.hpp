@@ -154,9 +154,6 @@ class Ext4Fs
     /** @name On-disk metadata layout (for tests) */
     ///@{
     BlockNo journalStartBlock() const { return journalStart_; }
-    std::uint64_t journalRegionBlocks() const { return journalBlocks_; }
-    BlockNo checkpointStartBlock() const { return cpStart_; }
-    std::uint64_t checkpointRegionBlocks() const { return cpBlocks_; }
     ///@}
 
     /**

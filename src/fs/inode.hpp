@@ -60,6 +60,7 @@ class Inode
     /** @name Open-state tracking for the sharing policy (Section 4.5.2) */
     ///@{
     int kernelOpens = 0;               //!< opens via the kernel interface
+    int bypassdOpens = 0;              //!< opens with BypassD intent
     std::set<Pid> bypassdOpeners;      //!< processes with direct access
     Pid lastMetadataWriter = 0;        //!< for multi-writer detection
     bool metadataMultiWriter = false;  //!< two+ processes changed metadata

@@ -43,12 +43,6 @@ Iommu::unbindPasid(Pasid pasid)
     invalidateAll(pasid);
 }
 
-bool
-Iommu::pasidBound(Pasid pasid) const
-{
-    return pasidTable_.count(pasid) != 0;
-}
-
 TransResult
 Iommu::translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
                         bool isWrite, DevId requester)
@@ -165,17 +159,6 @@ Iommu::prefetchVba(Pasid pasid, Vaddr vba) const
     const auto it = pasidTable_.find(pasid);
     if (it != pasidTable_.end() && it->second != nullptr)
         it->second->prefetchLeaf(vba);
-}
-
-void
-Iommu::translateVba(Pasid pasid, Vaddr vba, std::uint32_t len, bool isWrite,
-                    DevId requester, std::function<void(TransResult)> done)
-{
-    TransResult res = translateVbaSync(pasid, vba, len, isWrite, requester);
-    eq_.after(res.latency, [res = std::move(res),
-                            done = std::move(done)]() mutable {
-        done(std::move(res));
-    });
 }
 
 void

@@ -19,7 +19,6 @@
 #define BPD_IOMMU_IOMMU_HPP
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -100,18 +99,10 @@ class Iommu
     ///@{
     void bindPasid(Pasid pasid, const mem::PageTable *pt);
     void unbindPasid(Pasid pasid);
-    bool pasidBound(Pasid pasid) const;
     ///@}
 
-    /**
-     * Service an ATS translation request for a VBA range, asynchronously:
-     * @p done fires after the modeled translation latency.
-     */
-    void translateVba(Pasid pasid, Vaddr vba, std::uint32_t len,
-                      bool isWrite, DevId requester,
-                      std::function<void(TransResult)> done);
-
-    /** Synchronous variant (functional result + latency estimate). */
+    /** Service an ATS translation request for a VBA range: the
+     *  functional result plus its modeled latency. */
     TransResult translateVbaSync(Pasid pasid, Vaddr vba, std::uint32_t len,
                                  bool isWrite, DevId requester);
 
@@ -174,7 +165,6 @@ class Iommu
     std::uint64_t framesRead() const { return framesRead_; }
     const TranslationCache &iotlb() const { return iotlb_; }
     const TranslationCache &walkCache() const { return walkCache_; }
-    TranslationCache &walkCacheMut() { return walkCache_; }
     ///@}
 
     /**

@@ -42,8 +42,6 @@ class TranslationCache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    unsigned sets() const { return sets_; }
-    unsigned ways() const { return ways_; }
 
   private:
     struct Entry

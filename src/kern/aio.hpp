@@ -48,6 +48,10 @@ class Aio
                 std::uint64_t off, IoCb cb);
 
   private:
+    /** @p req, completing only after the io_getevents harvest that
+     *  follows the kernel's completion. */
+    Request harvested(Request req);
+
     Kernel &k_;
 };
 

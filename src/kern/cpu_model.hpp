@@ -33,7 +33,6 @@ class CpuModel
     }
 
     unsigned occupants() const { return occupants_; }
-    unsigned hwThreads() const { return hwThreads_; }
 
     /** Occupants beyond the hardware budget. */
     unsigned
@@ -68,8 +67,6 @@ class CpuModel
     {
         return static_cast<Time>(surplus()) * quantumNs_;
     }
-
-    void setQuantum(Time q) { quantumNs_ = q; }
 
   private:
     unsigned hwThreads_;

@@ -55,9 +55,9 @@ IoUring::doIo(bool write, int fd, std::span<std::uint8_t> buf,
     CpuModel &cpu = k_.cpu();
     const CostModel &c = k_.costs();
 
-    const obs::TraceId trace = openRequest(
+    Request req = openRequest(
         k_.tracer(), p_.pasid(), write ? "uring.pwrite" : "uring.pread",
-        "uring.p", p_.pid(), cb);
+        "uring.p", p_.pid(), std::move(cb));
 
     const std::uint64_t n
         = write ? buf.size()
@@ -67,19 +67,22 @@ IoUring::doIo(bool write, int fd, std::span<std::uint8_t> buf,
                                                  node->size - off));
     if (n == 0) {
         k_.eq().after(cpu.scaled(c.uringUserSubmitNs + c.uringUserReapNs),
-                      [cb = std::move(cb)]() { cb(0, IoTrace{}); });
+                      [req = std::move(req)]() mutable {
+                          req.finish(0, IoTrace{});
+                      });
         return;
     }
 
     // Extension writes fall back to the full allocation path.
     if (write && off + n > node->size) {
-        TenantScope ts(k_, p_.pasid());
+        TenantScope ts(k_, req.tenant());
         std::vector<fs::Extent> added;
         fs::FsStatus st = k_.vfs().fs().extendTo(*node, off + n, &added);
         if (st != fs::FsStatus::Ok) {
-            k_.eq().after(c.uringUserSubmitNs, [cb = std::move(cb), st]() {
-                cb(errOf(st), IoTrace{});
-            });
+            k_.eq().after(c.uringUserSubmitNs,
+                          [req = std::move(req), st]() mutable {
+                              req.finish(errOf(st), IoTrace{});
+                          });
             return;
         }
         if (k_.bypassdHooks() && !added.empty())
@@ -107,38 +110,38 @@ IoUring::doIo(bool write, int fd, std::span<std::uint8_t> buf,
         submitDelay = lockAt - k_.eq().now();
     }
 
-    const TenantId tenant = p_.pasid();
     k_.eq().after(submitDelay, [this, node, buf, off, n, start, write,
-                                trace, tenant,
-                                cb = std::move(cb)]() mutable {
+                                req = std::move(req)]() mutable {
         std::vector<fs::Seg> segs;
         fs::FsStatus st = k_.vfs().fs().mapRange(*node, off, n, &segs);
         if (st != fs::FsStatus::Ok) {
-            cb(errOf(st), IoTrace{});
+            req.finish(errOf(st), IoTrace{});
             return;
         }
+        const IoIdentity id = req.identity();
         k_.deviceIo(write ? ssd::Op::Write : ssd::Op::Read,
                     std::move(segs), buf.subspan(0, n),
-                    [this, node, n, start, write, tenant,
-                     cb = std::move(cb)](ssd::Status dst, Time devNs) {
-                        TenantScope ts(k_, tenant);
+                    [this, node, n, start, write,
+                     req = std::move(req)](ssd::Status dst,
+                                           Time devNs) mutable {
+                        TenantScope ts(k_, req.tenant());
                         k_.vfs().fs().touch(*node, write);
                         const Time reap
                             = k_.cpu().scaled(k_.costs().uringUserReapNs)
                               + k_.cpu().reschedulePenalty();
                         k_.eq().after(reap, [this, n, start, devNs, dst,
-                                             cb = std::move(cb)]() {
+                                             req = std::move(req)]() mutable {
                             IoTrace tr;
                             const Time total = k_.eq().now() - start;
                             tr.deviceNs = devNs;
                             tr.kernelNs = total - devNs;
-                            cb(dst == ssd::Status::Success
-                                   ? static_cast<long long>(n)
-                                   : devErr(dst),
-                               tr);
+                            req.finish(dst == ssd::Status::Success
+                                           ? static_cast<long long>(n)
+                                           : devErr(dst),
+                                       tr);
                         });
                     },
-                    trace, tenant);
+                    id);
     });
 }
 

@@ -34,35 +34,6 @@ devErr(ssd::Status st)
                                                   : fs::FsStatus::Inval);
 }
 
-obs::RequestBreakdown
-breakdownOf(long long n, const IoTrace &tr)
-{
-    obs::RequestBreakdown b;
-    b.userNs = tr.userNs;
-    b.kernelNs = tr.kernelNs;
-    b.translateNs = tr.translateNs;
-    b.deviceNs = tr.deviceNs;
-    b.bytes = n > 0 ? static_cast<std::uint64_t>(n) : 0;
-    return b;
-}
-
-obs::TraceId
-openRequest(obs::Tracer *t, TenantId tenant, const char *name,
-            const char *trackPrefix, std::uint64_t trackId, IoCb &cb)
-{
-    if (!t)
-        return 0;
-    const obs::TraceId trace = t->newTrace(tenant);
-    const std::uint16_t track = t->track(trackPrefix, trackId);
-    const Time start = t->now();
-    cb = [t, name, track, trace, start,
-          cb = std::move(cb)](long long n, IoTrace tr) {
-        t->request(track, name, trace, start, t->now(), breakdownOf(n, tr));
-        cb(n, tr);
-    };
-    return trace;
-}
-
 Kernel::Kernel(sim::EventQueue &eq, mem::FrameAllocator &fa,
                iommu::Iommu &iommu, fs::Vfs &vfs, ssd::NvmeDevice &dev,
                CostModel costs, KernelConfig cfg)
@@ -168,9 +139,7 @@ Kernel::nsPath(const Process &p, const std::string &path) const
 
 void
 Kernel::deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
-                 std::span<std::uint8_t> buf,
-                 std::function<void(ssd::Status, Time)> cb,
-                 obs::TraceId trace, TenantId tenant)
+                 std::span<std::uint8_t> buf, DeviceCb cb, IoIdentity id)
 {
     // QoS gate: charge the tenant's token buckets before touching any
     // device queue. An over-limit submission parks whole on the
@@ -181,15 +150,15 @@ Kernel::deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
     for (const auto &seg : segs)
         bytes += seg.len;
     const std::size_t nsegs = segs.size();
-    qos::admit(nsegs ? qos_ : nullptr, tenant, nsegs, bytes,
+    qos::admit(nsegs ? qos_ : nullptr, id.tenant, nsegs, bytes,
                [this, op, segs = std::move(segs), buf, cb = std::move(cb),
-                trace, tenant]() mutable {
+                id]() mutable {
         struct Agg
         {
             std::size_t remaining;
             ssd::Status worst = ssd::Status::Success;
             Time start;
-            std::function<void(ssd::Status, Time)> cb;
+            DeviceCb cb;
         };
         auto agg = std::make_shared<Agg>();
         agg->remaining = segs.size();
@@ -213,8 +182,8 @@ Kernel::deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
             cmd.addrIsVba = false;
             cmd.len = static_cast<std::uint32_t>(seg.len);
             cmd.hostBuf = buf.subspan(off, seg.len);
-            cmd.trace = trace;
-            cmd.tenant = tenant;
+            cmd.trace = id.trace;
+            cmd.tenant = id.tenant;
             off += seg.len;
             const bool ok = slot.kq->submit(cmd, [this, agg](
                                                  const ssd::Completion &c) {
@@ -245,7 +214,9 @@ Kernel::sysOpen(Process &p, const std::string &path, std::uint32_t flags,
             return;
         }
         fs::Inode *node = vfs_.fs().inode(ino);
-        if (!(flags & kOpenBypassdIntent)) {
+        if (flags & kOpenBypassdIntent) {
+            node->bypassdOpens++;
+        } else {
             node->kernelOpens++;
             if (hooks_)
                 hooks_->onKernelOpen(*node);
@@ -281,8 +252,12 @@ Kernel::sysClose(Process &p, int fd, IntCb cb)
         if (node) {
             // Deferred timestamp update lands at close (Section 4.4).
             vfs_.fs().fsyncMeta(*node);
-            if (!(of->flags & kOpenBypassdIntent) && node->kernelOpens > 0)
-                node->kernelOpens--;
+            int &opens = (of->flags & kOpenBypassdIntent)
+                             ? node->bypassdOpens
+                             : node->kernelOpens;
+            if (opens > 0 && --opens == 0 && node->bypassdOpens == 0
+                && node->kernelOpens == 0 && hooks_)
+                hooks_->onLastClose(*node);
         }
         p.removeFd(fd);
         cb(0);
@@ -291,87 +266,67 @@ Kernel::sysClose(Process &p, int fd, IntCb cb)
 
 void
 Kernel::sysPread(Process &p, int fd, std::span<std::uint8_t> buf,
-                 std::uint64_t off, IoCb cb, obs::TraceId trace)
+                 std::uint64_t off, IoCb cb)
+{
+    sysPread(p, fd, buf, off,
+             openRequest(trace_, p.pasid(), "sync.pread", "kern.p", p.pid(),
+                         std::move(cb)));
+}
+
+void
+Kernel::sysPread(Process &p, int fd, std::span<std::uint8_t> buf,
+                 std::uint64_t off, Request req)
 {
     noteSyscall(p);
-    if (trace == 0)
-        trace = openRequest(trace_, p.pasid(), "sync.pread", "kern.p",
-                            p.pid(), cb);
     OpenFile *of = p.file(fd);
     if (!of || !(of->flags & kOpenRead)) {
-        eq_.after(costs_.userToKernelNs, [cb = std::move(cb)]() {
-            cb(errOf(fs::FsStatus::Inval), IoTrace{});
+        eq_.after(costs_.userToKernelNs, [req = std::move(req)]() mutable {
+            req.finish(errOf(fs::FsStatus::Inval), IoTrace{});
         });
         return;
     }
     fs::Inode *node = vfs_.fs().inode(of->ino);
     sim::panicIf(node == nullptr, "open fd with dead inode");
     if (of->flags & kOpenDirect)
-        directRead(p, *node, buf, off, std::move(cb), trace);
+        directRead(p, *node, buf, off, std::move(req));
     else
-        bufferedRead(p, *node, buf, off, std::move(cb), trace);
+        bufferedRead(*node, buf, off, std::move(req));
 }
 
 void
 Kernel::sysPwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
-                  std::uint64_t off, IoCb cb, obs::TraceId trace)
+                  std::uint64_t off, IoCb cb)
+{
+    sysPwrite(p, fd, buf, off,
+              openRequest(trace_, p.pasid(), "sync.pwrite", "kern.p",
+                          p.pid(), std::move(cb)));
+}
+
+void
+Kernel::sysPwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
+                  std::uint64_t off, Request req)
 {
     noteSyscall(p);
-    if (trace == 0)
-        trace = openRequest(trace_, p.pasid(), "sync.pwrite", "kern.p",
-                            p.pid(), cb);
     OpenFile *of = p.file(fd);
     if (!of || !(of->flags & kOpenWrite)) {
-        eq_.after(costs_.userToKernelNs, [cb = std::move(cb)]() {
-            cb(errOf(fs::FsStatus::Inval), IoTrace{});
+        eq_.after(costs_.userToKernelNs, [req = std::move(req)]() mutable {
+            req.finish(errOf(fs::FsStatus::Inval), IoTrace{});
         });
         return;
     }
     fs::Inode *node = vfs_.fs().inode(of->ino);
     sim::panicIf(node == nullptr, "open fd with dead inode");
     if (of->flags & kOpenDirect)
-        directWrite(p, *node, buf, off, std::move(cb), trace);
+        directWrite(p, *node, buf, off, std::move(req));
     else
-        bufferedWrite(p, *node, buf, off, std::move(cb), trace);
-}
-
-void
-Kernel::sysRead(Process &p, int fd, std::span<std::uint8_t> buf, IoCb cb)
-{
-    OpenFile *of = p.file(fd);
-    const std::uint64_t off = of ? of->offset : 0;
-    sysPread(p, fd, buf, off,
-             [&p, fd, cb = std::move(cb)](long long n, IoTrace tr) {
-                 if (n > 0) {
-                     if (OpenFile *f = p.file(fd))
-                         f->offset += static_cast<std::uint64_t>(n);
-                 }
-                 cb(n, tr);
-             });
-}
-
-void
-Kernel::sysWrite(Process &p, int fd, std::span<const std::uint8_t> buf,
-                 IoCb cb)
-{
-    OpenFile *of = p.file(fd);
-    const std::uint64_t off = of ? of->offset : 0;
-    sysPwrite(p, fd, buf, off,
-              [&p, fd, cb = std::move(cb)](long long n, IoTrace tr) {
-                  if (n > 0) {
-                      if (OpenFile *f = p.file(fd))
-                          f->offset += static_cast<std::uint64_t>(n);
-                  }
-                  cb(n, tr);
-              });
+        bufferedWrite(p, *node, buf, off, std::move(req));
 }
 
 void
 Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
-                   std::uint64_t off, IoCb cb, obs::TraceId trace)
+                   std::uint64_t off, Request req)
 {
     const Pid pid = p.pid();
-    const TenantId tenant = p.pasid();
     const Time start = eq_.now();
     const std::uint64_t n
         = off >= ino.size
@@ -381,10 +336,10 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
         const Time cost = cpu_.scaled(costs_.userToKernelNs
                                       + costs_.vfsBufferedNs
                                       + costs_.kernelToUserNs);
-        eq_.after(cost, [cb = std::move(cb), cost]() {
+        eq_.after(cost, [req = std::move(req), cost]() mutable {
             IoTrace tr;
             tr.kernelNs = cost;
-            cb(0, tr);
+            req.finish(0, tr);
         });
         return;
     }
@@ -392,13 +347,13 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
     const Time submitCost
         = cpu_.scaled(costs_.userToKernelNs + costs_.vfsCost(n)
                       + costs_.blockLayerNs + costs_.nvmeDriverNs);
-    eq_.after(submitCost, [this, &ino, buf, off, n, start, pid, tenant,
-                           trace, cb = std::move(cb)]() mutable {
-        TenantScope ts(*this, tenant);
+    eq_.after(submitCost, [this, &ino, buf, off, n, start, pid,
+                           req = std::move(req)]() mutable {
+        TenantScope ts(*this, req.tenant());
         if (trace_ && trace_->wants(obs::Level::Layers)) {
             // Syscall entry through driver submit (Table 1 rows 1-4).
             trace_->span(trace_->track("kern.p", pid), "kern.vfs_submit",
-                         trace, start, eq_.now());
+                         req.trace(), start, eq_.now());
         }
         // Device I/O happens on the sector-aligned envelope; unaligned
         // requests bounce through a kernel buffer.
@@ -410,7 +365,7 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
         fs::FsStatus st = vfs_.fs().mapRange(ino, aStart, aEnd - aStart,
                                              &segs);
         if (st != fs::FsStatus::Ok) {
-            cb(errOf(st), IoTrace{});
+            req.finish(errOf(st), IoTrace{});
             return;
         }
         std::shared_ptr<std::vector<std::uint8_t>> bounce;
@@ -420,55 +375,32 @@ Kernel::directRead(Process &p, fs::Inode &ino, std::span<std::uint8_t> buf,
                 aEnd - aStart);
             target = std::span<std::uint8_t>(*bounce);
         }
+        const IoIdentity id = req.identity();
         deviceIo(
             ssd::Op::Read, std::move(segs), target,
-            [this, buf, off, n, aStart, bounce, start, pid, tenant, trace,
-             &ino, cb = std::move(cb)](ssd::Status dst,
-                                       Time devNs) mutable {
-                if (bounce) {
-                    std::memcpy(buf.data(),
-                                bounce->data() + (off - aStart), n);
-                }
-                TenantScope ts(*this, tenant);
-                vfs_.fs().touch(ino, false);
-                const Time exitCost
-                    = cpu_.scaled(costs_.kernelToUserNs);
-                const Time exitStart = eq_.now();
-                eq_.after(exitCost, [n, start, exitStart, pid, trace,
-                                     devNs, dst, this,
-                                     cb = std::move(cb)]() {
-                    if (trace_ && trace_->wants(obs::Level::Layers)) {
-                        trace_->span(trace_->track("kern.p", pid),
-                                     "kern.exit", trace, exitStart,
-                                     eq_.now());
-                    }
-                    IoTrace tr;
-                    const Time total = eq_.now() - start;
-                    tr.deviceNs = devNs;
-                    tr.kernelNs = total - devNs;
-                    cb(dst == ssd::Status::Success
-                           ? static_cast<long long>(n)
-                           : devErr(dst),
-                       tr);
-                });
+            [this, buf, skew = off - aStart, n, bounce, start, pid, &ino,
+             req = std::move(req)](ssd::Status dst, Time devNs) mutable {
+                if (bounce)
+                    std::memcpy(buf.data(), bounce->data() + skew, n);
+                exitDirect(ino, false, pid, start, n, dst, devNs,
+                           std::move(req));
             },
-            trace, tenant);
+            id);
     });
 }
 
 void
 Kernel::directWrite(Process &p, fs::Inode &ino,
                     std::span<const std::uint8_t> buf, std::uint64_t off,
-                    IoCb cb, obs::TraceId trace)
+                    Request req)
 {
     const Pid pid = p.pid();
-    const TenantId tenant = p.pasid();
-    TenantScope ts(*this, tenant); // covers the synchronous extendTo
+    TenantScope ts(*this, req.tenant()); // covers the synchronous extendTo
     const Time start = eq_.now();
     const std::uint64_t n = buf.size();
     if (n == 0) {
-        eq_.after(costs_.userToKernelNs, [cb = std::move(cb)]() {
-            cb(0, IoTrace{});
+        eq_.after(costs_.userToKernelNs, [req = std::move(req)]() mutable {
+            req.finish(0, IoTrace{});
         });
         return;
     }
@@ -481,8 +413,8 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         fs::FsStatus st = vfs_.fs().extendTo(ino, off + n, &added);
         if (st != fs::FsStatus::Ok) {
             eq_.after(costs_.userToKernelNs,
-                      [cb = std::move(cb), st]() {
-                          cb(errOf(st), IoTrace{});
+                      [req = std::move(req), st]() mutable {
+                          req.finish(errOf(st), IoTrace{});
                       });
             return;
         }
@@ -505,13 +437,14 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         = vfsDone
           + cpu_.scaled(costs_.blockLayerNs + costs_.nvmeDriverNs);
 
-    eq_.schedule(submitAt, [this, &ino, buf, off, n, start, pid, tenant,
-                            trace, cb = std::move(cb)]() mutable {
-        TenantScope ts(*this, tenant);
+    eq_.schedule(submitAt, [this, &ino, buf, off, n, start, pid,
+                            req = std::move(req)]() mutable {
+        const IoIdentity id = req.identity();
+        TenantScope ts(*this, id.tenant);
         if (trace_ && trace_->wants(obs::Level::Layers)) {
             // Includes any wait on the per-inode ext4 write lock.
             trace_->span(trace_->track("kern.p", pid), "kern.vfs_submit",
-                         trace, start, eq_.now());
+                         id.trace, start, eq_.now());
         }
         const std::uint64_t aStart = off & ~(kSectorBytes - 1);
         const std::uint64_t aEnd
@@ -521,37 +454,19 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
         fs::FsStatus st = vfs_.fs().mapRange(ino, aStart, aEnd - aStart,
                                              &segs);
         if (st != fs::FsStatus::Ok) {
-            cb(errOf(st), IoTrace{});
+            req.finish(errOf(st), IoTrace{});
             return;
         }
 
-        auto finish = [this, n, start, pid, tenant, trace, &ino,
-                       cb = std::move(cb)](ssd::Status dst,
-                                           Time devNs) mutable {
-            TenantScope ts(*this, tenant);
-            vfs_.fs().touch(ino, true);
-            const Time exitCost = cpu_.scaled(costs_.kernelToUserNs);
-            const Time exitStart = eq_.now();
-            eq_.after(exitCost, [this, n, start, exitStart, pid, trace,
-                                 devNs, dst, cb = std::move(cb)]() {
-                if (trace_ && trace_->wants(obs::Level::Layers)) {
-                    trace_->span(trace_->track("kern.p", pid), "kern.exit",
-                                 trace, exitStart, eq_.now());
-                }
-                IoTrace tr;
-                const Time total = eq_.now() - start;
-                tr.deviceNs = devNs;
-                tr.kernelNs = total - devNs;
-                cb(dst == ssd::Status::Success
-                       ? static_cast<long long>(n)
-                       : devErr(dst),
-                   tr);
-            });
+        auto finish = [this, n, start, pid, &ino,
+                       req = std::move(req)](ssd::Status dst,
+                                             Time devNs) mutable {
+            exitDirect(ino, true, pid, start, n, dst, devNs, std::move(req));
         };
 
         if (aligned) {
             deviceIo(ssd::Op::Write, std::move(segs), unconst(buf),
-                     std::move(finish), trace, tenant);
+                     std::move(finish), id);
             return;
         }
         // Unaligned: read-modify-write of the sector envelope through a
@@ -560,7 +475,7 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
             aEnd - aStart);
         deviceIo(
             ssd::Op::Read, segs, std::span<std::uint8_t>(*bounce),
-            [this, segs, bounce, buf, off, n, aStart, trace, tenant,
+            [this, segs, bounce, buf, off, n, aStart, id,
              finish = std::move(finish)](ssd::Status rst,
                                          Time rdevNs) mutable {
                 if (rst != ssd::Status::Success) {
@@ -575,19 +490,41 @@ Kernel::directWrite(Process &p, fs::Inode &ino,
                              ssd::Status wst, Time wdevNs) mutable {
                              finish(wst, rdevNs + wdevNs);
                          },
-                         trace, tenant);
+                         id);
             },
-            trace, tenant);
+            id);
     });
 }
 
 void
-Kernel::bufferedRead(Process &p, fs::Inode &ino,
-                     std::span<std::uint8_t> buf, std::uint64_t off,
-                     IoCb cb, obs::TraceId trace)
+Kernel::exitDirect(fs::Inode &ino, bool write, Pid pid, Time start,
+                   std::uint64_t n, ssd::Status dst, Time devNs, Request req)
 {
-    const TenantId tenant = p.pasid();
-    TenantScope ts(*this, tenant); // covers the miss-detection lookups
+    TenantScope ts(*this, req.tenant());
+    vfs_.fs().touch(ino, write);
+    const Time exitCost = cpu_.scaled(costs_.kernelToUserNs);
+    const Time exitStart = eq_.now();
+    eq_.after(exitCost, [this, n, start, exitStart, pid, devNs, dst,
+                         req = std::move(req)]() mutable {
+        if (trace_ && trace_->wants(obs::Level::Layers)) {
+            trace_->span(trace_->track("kern.p", pid), "kern.exit",
+                         req.trace(), exitStart, eq_.now());
+        }
+        IoTrace tr;
+        tr.deviceNs = devNs;
+        tr.kernelNs = eq_.now() - start - devNs;
+        req.finish(dst == ssd::Status::Success ? static_cast<long long>(n)
+                                               : devErr(dst),
+                   tr);
+    });
+}
+
+void
+Kernel::bufferedRead(fs::Inode &ino, std::span<std::uint8_t> buf,
+                     std::uint64_t off, Request req)
+{
+    const IoIdentity id = req.identity();
+    TenantScope ts(*this, id.tenant); // covers the miss-detection lookups
     const Time start = eq_.now();
     const std::uint64_t n
         = off >= ino.size
@@ -603,20 +540,15 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
                 + pages * costs_.pageCacheLookupNs + costs_.copyCost(n);
 
     // Identify misses and fetch them from the device.
-    struct MissFetch
-    {
-        std::uint64_t pageIdx;
-        std::vector<fs::Seg> segs;
-    };
     std::vector<std::uint64_t> misses;
     for (std::uint64_t pg = firstPage; pg < firstPage + pages; pg++) {
         if (!pageCache_.find(ino.ino, pg))
             misses.push_back(pg);
     }
 
-    auto finish = [this, &ino, buf, off, n, start, tenant,
-                   cb = std::move(cb)]() {
-        TenantScope ts(*this, tenant);
+    auto finish = [this, &ino, buf, off, n, start,
+                   req = std::move(req)]() mutable {
+        TenantScope ts(*this, req.tenant());
         // Functional copy from cache pages into the user buffer.
         std::uint64_t done = 0;
         while (done < n) {
@@ -635,51 +567,41 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
         IoTrace tr;
         tr.kernelNs = eq_.now() - start + cpu_.scaled(costs_.kernelToUserNs);
         eq_.after(cpu_.scaled(costs_.kernelToUserNs),
-                  [n, tr, cb = std::move(cb)]() mutable {
-                      cb(static_cast<long long>(n), tr);
+                  [n, tr, req = std::move(req)]() mutable {
+                      req.finish(static_cast<long long>(n), tr);
                   });
     };
 
     if (misses.empty()) {
-        eq_.after(cpu_.scaled(cost), finish);
+        eq_.after(cpu_.scaled(cost), std::move(finish));
         return;
     }
 
-    // Fetch all missing pages, then complete.
-    eq_.after(cpu_.scaled(cost), [this, &ino, misses, trace, tenant,
-                                  finish = std::move(finish)]() mutable {
-        auto remaining = std::make_shared<std::size_t>(misses.size());
+    // Fetch all missing pages; the last one to land completes the read.
+    struct Fetch
+    {
+        std::size_t remaining;
+        decltype(finish) complete;
+    };
+    auto fetch = std::make_shared<Fetch>(
+        Fetch{misses.size(), std::move(finish)});
+    eq_.after(cpu_.scaled(cost), [this, &ino, misses = std::move(misses), id,
+                                  fetch]() {
         for (std::uint64_t pg : misses) {
             auto scratch = std::make_shared<
                 std::vector<std::uint8_t>>(kBlockBytes, 0);
-            auto installPage = [this, &ino, pg, scratch, remaining,
-                                tenant, finish]() {
+            auto installPage = [this, &ino, pg, scratch, fetch,
+                                tenant = id.tenant]() {
                 TenantScope ts(*this, tenant);
                 std::unique_ptr<fs::PageCache::Page> evicted;
                 fs::PageCache::Page *page
                     = pageCache_.insert(ino.ino, pg, &evicted);
                 std::memcpy(page->data.data(), scratch->data(),
                             kBlockBytes);
-                if (evicted) {
-                    // Write back a dirty victim asynchronously, billed
-                    // to the tenant that last touched the page.
-                    const TenantId vt = evicted->tenant;
-                    std::vector<fs::Seg> vsegs;
-                    if (vfs_.fs().mapRange(ino, evicted->index
-                                                    * kBlockBytes,
-                                           kBlockBytes, &vsegs)
-                        == fs::FsStatus::Ok) {
-                        auto keep = std::make_shared<
-                            std::unique_ptr<fs::PageCache::Page>>(
-                            std::move(evicted));
-                        deviceIo(ssd::Op::Write, std::move(vsegs),
-                                 std::span<std::uint8_t>(
-                                     (*keep)->data.data(), kBlockBytes),
-                                 [keep](ssd::Status, Time) {}, 0, vt);
-                    }
-                }
-                if (--*remaining == 0)
-                    finish();
+                if (evicted)
+                    writebackVictim(ino, std::move(evicted));
+                if (--fetch->remaining == 0)
+                    fetch->complete();
             };
             // Files are always fully mapped up to logicalEnd; a page past
             // that is beyond EOF and reads as zeros.
@@ -695,7 +617,7 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
             deviceIo(ssd::Op::Read, std::move(segs),
                      std::span<std::uint8_t>(scratch->data(), kBlockBytes),
                      [installPage](ssd::Status, Time) { installPage(); },
-                     trace, tenant);
+                     id);
         }
     });
 }
@@ -703,10 +625,10 @@ Kernel::bufferedRead(Process &p, fs::Inode &ino,
 void
 Kernel::bufferedWrite(Process &p, fs::Inode &ino,
                       std::span<const std::uint8_t> buf, std::uint64_t off,
-                      IoCb cb, obs::TraceId trace)
+                      Request req)
 {
-    (void)trace; // buffered writes complete in the page cache
-    const TenantId tenant = p.pasid();
+    // Buffered writes complete in the page cache: no device I/O here.
+    const TenantId tenant = req.tenant();
     TenantScope ts(*this, tenant); // covers the synchronous extendTo
     const Time start = eq_.now();
     const std::uint64_t n = buf.size();
@@ -716,9 +638,10 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
         std::vector<fs::Extent> added;
         fs::FsStatus st = vfs_.fs().extendTo(ino, off + n, &added);
         if (st != fs::FsStatus::Ok) {
-            eq_.after(costs_.userToKernelNs, [cb = std::move(cb), st]() {
-                cb(errOf(st), IoTrace{});
-            });
+            eq_.after(costs_.userToKernelNs,
+                      [req = std::move(req), st]() mutable {
+                          req.finish(errOf(st), IoTrace{});
+                      });
             return;
         }
         if (hooks_) {
@@ -736,7 +659,7 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
                       + costs_.copyCost(n) + costs_.kernelToUserNs;
 
     eq_.after(cpu_.scaled(cost), [this, &ino, buf, off, n, start, tenant,
-                                  cb = std::move(cb)]() {
+                                  req = std::move(req)]() mutable {
         TenantScope ts(*this, tenant);
         std::uint64_t done = 0;
         while (done < n) {
@@ -748,22 +671,8 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
             std::unique_ptr<fs::PageCache::Page> evicted;
             fs::PageCache::Page *page
                 = pageCache_.insert(ino.ino, pg, &evicted);
-            if (evicted) {
-                const TenantId vt = evicted->tenant;
-                std::vector<fs::Seg> vsegs;
-                if (vfs_.fs().mapRange(ino,
-                                       evicted->index * kBlockBytes,
-                                       kBlockBytes, &vsegs)
-                    == fs::FsStatus::Ok) {
-                    auto keep = std::make_shared<
-                        std::unique_ptr<fs::PageCache::Page>>(
-                        std::move(evicted));
-                    deviceIo(ssd::Op::Write, std::move(vsegs),
-                             std::span<std::uint8_t>((*keep)->data.data(),
-                                                     kBlockBytes),
-                             [keep](ssd::Status, Time) {}, 0, vt);
-                }
-            }
+            if (evicted)
+                writebackVictim(ino, std::move(evicted));
             std::memcpy(page->data.data() + pgOff, buf.data() + done,
                         chunk);
             page->dirty = true;
@@ -772,8 +681,24 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
         vfs_.fs().touch(ino, true);
         IoTrace tr;
         tr.kernelNs = eq_.now() - start;
-        cb(static_cast<long long>(n), tr);
+        req.finish(static_cast<long long>(n), tr);
     });
+}
+
+void
+Kernel::writebackVictim(fs::Inode &ino,
+                        std::unique_ptr<fs::PageCache::Page> victim)
+{
+    std::vector<fs::Seg> segs;
+    if (vfs_.fs().mapRange(ino, victim->index * kBlockBytes, kBlockBytes,
+                           &segs)
+        != fs::FsStatus::Ok)
+        return;
+    const IoIdentity id{0, victim->tenant};
+    const std::span<std::uint8_t> data(victim->data.data(), kBlockBytes);
+    // The completion owns the page, so its data outlives the write.
+    deviceIo(ssd::Op::Write, std::move(segs), data,
+             [victim = std::move(victim)](ssd::Status, Time) {}, id);
 }
 
 void
@@ -802,7 +727,7 @@ Kernel::writebackDirty(fs::Inode &ino, std::function<void(Time)> done)
                      if (--*remaining == 0)
                          done(eq_.now() - start);
                  },
-                 0, page->tenant);
+                 IoIdentity{0, page->tenant});
     }
 }
 
@@ -971,16 +896,13 @@ Kernel::sysStat(Process &p, const std::string &path, Stat *out, IntCb cb)
 void
 Kernel::appendPath(Process &p, fs::Inode &ino,
                    std::span<const std::uint8_t> buf, std::uint64_t off,
-                   IoCb cb, obs::TraceId trace)
+                   Request req)
 {
     noteSyscall(p);
-    if (trace == 0)
-        trace = openRequest(trace_, p.pasid(), "sync.append", "kern.p",
-                            p.pid(), cb);
     // Appends route through the kernel: allocate, update metadata, attach
     // new FTEs, then write directly to the device without buffering
     // (Table 3).
-    directWrite(p, ino, buf, off, std::move(cb), trace);
+    directWrite(p, ino, buf, off, std::move(req));
 }
 
 int
@@ -993,7 +915,9 @@ Kernel::setupOpen(Process &p, const std::string &path, std::uint32_t flags,
     if (st != fs::FsStatus::Ok)
         return errOf(st);
     fs::Inode *node = vfs_.fs().inode(ino);
-    if (!(flags & kOpenBypassdIntent))
+    if (flags & kOpenBypassdIntent)
+        node->bypassdOpens++;
+    else
         node->kernelOpens++;
     OpenFile of;
     of.ino = ino;

@@ -33,6 +33,7 @@
 #include "kern/cost_model.hpp"
 #include "kern/cpu_model.hpp"
 #include "kern/process.hpp"
+#include "kern/request.hpp"
 #include "mem/frame_allocator.hpp"
 #include "obs/tenant.hpp"
 #include "obs/trace.hpp"
@@ -46,42 +47,12 @@ class Registry;
 
 namespace bpd::kern {
 
-/** Per-request time attribution (Fig. 7 breakdown). */
-struct IoTrace
-{
-    Time userNs = 0;
-    Time kernelNs = 0;
-    Time deviceNs = 0;
-    Time translateNs = 0;
-
-    Time
-    total() const
-    {
-        return userNs + kernelNs + deviceNs + translateNs;
-    }
-};
-
-/** Data-op completion: byte count (or negative FsStatus) + attribution. */
-using IoCb = std::function<void(long long, IoTrace)>;
 /** Metadata-op completion: 0/fd or negative FsStatus. */
 using IntCb = std::function<void(int)>;
 
-/** The Table 1 breakdown a request envelope records for a completion
- *  with result @p n (bytes, or a negative error) and attribution @p tr. */
-obs::RequestBreakdown breakdownOf(long long n, const IoTrace &tr);
-
-/**
- * Open the request envelope of one I/O at its outermost submission
- * site (DESIGN.md §9). Allocates a trace id owned by @p tenant and wraps
- * @p cb so that its completion first records the @p name envelope
- * span, from now until then, on the track "<trackPrefix><trackId>",
- * carrying breakdownOf() the completion. Returns the trace id; with a
- * null tracer it returns 0 and leaves @p cb as it is. @p name and
- * @p trackPrefix must be string literals.
- */
-obs::TraceId openRequest(obs::Tracer *t, TenantId tenant, const char *name,
-                         const char *trackPrefix, std::uint64_t trackId,
-                         IoCb &cb);
+/** Device-I/O completion: worst status and the span of device time. */
+using DeviceCb = sim::InlineFunction<void(ssd::Status, Time),
+                                     sim::kEventCallbackInlineBytes>;
 
 /** Map FsStatus to a negative syscall return code. */
 inline int
@@ -114,6 +85,8 @@ class BypassdHooks
                                 const std::vector<fs::Extent> &added) = 0;
     /** Blocks were truncated away; FTEs must be detached. */
     virtual void onTruncated(fs::Inode &ino) = 0;
+    /** The last open of @p ino, through either interface, closed. */
+    virtual void onLastClose(fs::Inode &ino) = 0;
 };
 
 struct KernelConfig
@@ -166,20 +139,20 @@ class Kernel
                  std::uint16_t mode, IntCb cb);
     void sysClose(Process &p, int fd, IntCb cb);
     /**
-     * Data syscalls carry an optional request trace id. 0 (the
-     * default) means this syscall is the outermost layer: when tracing
-     * is enabled the kernel allocates an id and emits the request
-     * envelope span itself. A non-zero id means an engine above
-     * (libaio, UserLib fallback) owns the envelope and the kernel only
-     * propagates the id down to the device.
+     * A data syscall called with a callback is the outermost layer: it
+     * opens the request (the "sync.pread"/"sync.pwrite" envelope when
+     * tracing). Called with a Request, it serves an engine above
+     * (libaio, UserLib's kernel fallback) that opened the request and
+     * owns its envelope; the kernel carries it down and finishes it.
      */
     void sysPread(Process &p, int fd, std::span<std::uint8_t> buf,
-                  std::uint64_t off, IoCb cb, obs::TraceId trace = 0);
+                  std::uint64_t off, IoCb cb);
+    void sysPread(Process &p, int fd, std::span<std::uint8_t> buf,
+                  std::uint64_t off, Request req);
     void sysPwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
-                   std::uint64_t off, IoCb cb, obs::TraceId trace = 0);
-    void sysRead(Process &p, int fd, std::span<std::uint8_t> buf, IoCb cb);
-    void sysWrite(Process &p, int fd, std::span<const std::uint8_t> buf,
-                  IoCb cb);
+                   std::uint64_t off, IoCb cb);
+    void sysPwrite(Process &p, int fd, std::span<const std::uint8_t> buf,
+                   std::uint64_t off, Request req);
     void sysFsync(Process &p, int fd, IntCb cb);
     void sysFallocate(Process &p, int fd, std::uint64_t off,
                       std::uint64_t len, IntCb cb);
@@ -211,7 +184,6 @@ class Kernel
     iommu::Iommu &iommu() { return iommu_; }
     fs::Vfs &vfs() { return vfs_; }
     ssd::NvmeDevice &device() { return dev_; }
-    ssd::CommandDispatcher &dispatcher() { return *kq_; }
     CostModel &costs() { return costs_; }
     CpuModel &cpu() { return cpu_; }
     fs::PageCache &pageCache() { return pageCache_; }
@@ -245,16 +217,12 @@ class Kernel
     ///@}
 
     /**
-     * Submit a multi-segment device I/O on the kernel queue, billed to
-     * and QoS-gated as @p tenant.
-     * @param trace Request trace id the commands carry (0 = none).
-     * @param cb Fires when all segments completed; passes worst status
-     *           and the span of device time.
+     * Submit a multi-segment device I/O on the kernel queue for @p id:
+     * its commands carry the trace id, and the I/O is billed to and
+     * QoS-gated as the tenant. @p cb fires when all segments completed.
      */
     void deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
-                  std::span<std::uint8_t> buf,
-                  std::function<void(ssd::Status, Time)> cb,
-                  obs::TraceId trace, TenantId tenant);
+                  std::span<std::uint8_t> buf, DeviceCb cb, IoIdentity id);
 
     /**
      * Attach the QoS registry (null = disabled, the default). deviceIo
@@ -266,10 +234,10 @@ class Kernel
     void setQos(qos::Registry *q) { qos_ = q; }
     qos::Registry *qos() const { return qos_; }
 
-    /** The kernel-interface path for appends (used by UserLib, Table 3). */
+    /** The kernel-interface path for UserLib's appends (Table 3). */
     void appendPath(Process &p, fs::Inode &ino,
                     std::span<const std::uint8_t> buf, std::uint64_t off,
-                    IoCb cb, obs::TraceId trace = 0);
+                    Request req);
 
     std::uint64_t syscallCount() const { return syscalls_; }
 
@@ -310,17 +278,25 @@ class Kernel
   private:
     void directRead(Process &p, fs::Inode &ino,
                     std::span<std::uint8_t> buf, std::uint64_t off,
-                    IoCb cb, obs::TraceId trace);
+                    Request req);
     void directWrite(Process &p, fs::Inode &ino,
                      std::span<const std::uint8_t> buf, std::uint64_t off,
-                     IoCb cb, obs::TraceId trace);
-    void bufferedRead(Process &p, fs::Inode &ino,
-                      std::span<std::uint8_t> buf, std::uint64_t off,
-                      IoCb cb, obs::TraceId trace);
+                     Request req);
+    void bufferedRead(fs::Inode &ino, std::span<std::uint8_t> buf,
+                      std::uint64_t off, Request req);
     void bufferedWrite(Process &p, fs::Inode &ino,
                        std::span<const std::uint8_t> buf,
-                       std::uint64_t off, IoCb cb, obs::TraceId trace);
+                       std::uint64_t off, Request req);
+    /** A direct read or write's return to user space once its device
+     *  I/O (@p dst, @p devNs) is done: touch, kern.exit, finish. */
+    void exitDirect(fs::Inode &ino, bool write, Pid pid, Time start,
+                    std::uint64_t n, ssd::Status dst, Time devNs,
+                    Request req);
     void writebackDirty(fs::Inode &ino, std::function<void(Time)> done);
+    /** Write @p victim, a dirty page the page cache evicted, back
+     *  through @p ino's mapping, billed to its last tenant. */
+    void writebackVictim(fs::Inode &ino,
+                         std::unique_ptr<fs::PageCache::Page> victim);
 
     /** syscalls_++ plus per-tenant attribution (same site). */
     void noteSyscall(const Process &p)

@@ -26,7 +26,6 @@ FrameAllocator::alloc()
     frames_[f]->fill(0);
     liveMap_[f] = true;
     live_++;
-    totalAllocs_++;
     return f;
 }
 

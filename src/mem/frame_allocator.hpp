@@ -48,9 +48,6 @@ class FrameAllocator
     /** Number of live (allocated, unfreed) frames. */
     std::size_t live() const { return live_; }
 
-    /** Total allocations ever performed. */
-    std::uint64_t totalAllocs() const { return totalAllocs_; }
-
   private:
     using Table = std::array<std::uint64_t, kPte>;
 
@@ -60,7 +57,6 @@ class FrameAllocator
     std::vector<Frame> freeList_;
     std::vector<bool> liveMap_;
     std::size_t live_ = 0;
-    std::uint64_t totalAllocs_ = 0;
 };
 
 } // namespace bpd::mem

@@ -145,19 +145,6 @@ PageTable::detachTable(Vaddr va, unsigned level)
     return true;
 }
 
-Pte
-PageTable::entryAt(Vaddr va, unsigned level) const
-{
-    sim::panicIf(level > 3, "bad level");
-    Frame cur = root_;
-    for (unsigned l = 3; l > level; l--) {
-        cur = childOf(cur, ptIndex(va, l));
-        if (cur == kNullFrame)
-            return 0;
-    }
-    return fa_.table(cur)[ptIndex(va, level)];
-}
-
 PageTable::LeafCacheEntry &
 PageTable::leafCacheEntry(Vaddr region) const
 {

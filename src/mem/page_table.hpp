@@ -78,9 +78,6 @@ class PageTable
      */
     bool detachTable(Vaddr va, unsigned level);
 
-    /** Entry at an arbitrary level for @p va (0 when path non-present). */
-    Pte entryAt(Vaddr va, unsigned level) const;
-
     /** Result of a software walk mirroring what hardware would do. */
     struct Walk
     {
@@ -100,9 +97,6 @@ class PageTable
      * no counter. Non-present paths are ignored.
      */
     void prefetchLeaf(Vaddr va) const;
-
-    /** Frames privately owned by this table (root included). */
-    std::size_t ownedFrames() const { return owned_.size(); }
 
     /** Most entries the walker's leaf-table cache grows to. */
     static constexpr std::size_t kMaxLeafCacheEntries = 4096;

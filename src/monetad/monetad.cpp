@@ -97,19 +97,6 @@ MonetadEngine::installPermissions(kern::Process &p, fs::Inode &ino,
 }
 
 void
-MonetadEngine::revokePermissions(kern::Process &p, fs::Inode &ino)
-{
-    for (const fs::Extent &e : ino.extents.extents()) {
-        auto it = table_.find(key(p.pasid(), e.pblk));
-        if (it != table_.end()) {
-            lru_.erase(it->second);
-            table_.erase(it);
-        }
-    }
-    stallService();
-}
-
-void
 MonetadEngine::doIo(Tid tid, kern::Process &p, fs::Inode &ino, ssd::Op op,
                     std::span<std::uint8_t> buf, std::uint64_t off,
                     bool afterMiss, kern::IoCb cb)

@@ -62,9 +62,6 @@ class MonetadEngine
     unsigned installPermissions(kern::Process &p, fs::Inode &ino,
                                 bool writable);
 
-    /** Kernel-side: drop the records (close/revoke). Stalls service. */
-    void revokePermissions(kern::Process &p, fs::Inode &ino);
-
     /** Userspace read of @p ino through the device-side checks. */
     void read(Tid tid, kern::Process &p, fs::Inode &ino,
               std::span<std::uint8_t> buf, std::uint64_t off,

@@ -97,13 +97,6 @@ class MetricsRegistry
      */
     MetricsRegistry &tenant(TenantId id);
 
-    /** Registered tenant scopes, in id order. */
-    template <typename Fn> void forEachTenant(Fn &&fn) const
-    {
-        for (const auto &[id, reg] : tenants_)
-            fn(id, *reg);
-    }
-
     MetricsSnapshot snapshot() const;
 
   private:

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include "obs/metrics.hpp"
+#include "sim/fnv.hpp"
 
 namespace bpd::obs {
 
@@ -23,13 +24,8 @@ Tracer::Tracer(const sim::EventQueue &eq, Level level,
 std::uint64_t
 replayDigest(const std::vector<ReplayRec> &ops)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; i++) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
+    std::uint64_t h = sim::kFnvSeed;
+    auto mix = [&h](std::uint64_t v) { h = sim::fnv(h, v); };
     mix(ops.size());
     for (const ReplayRec &r : ops) {
         mix(r.op);
@@ -143,6 +139,29 @@ void Tracer::instant(std::uint16_t track, const char *name, TraceId trace,
         rec.args[rec.nargs++] = a;
     }
     emit(rec);
+}
+
+std::uint32_t Tracer::openEnvelope(TraceId trace, const char *name,
+                                   std::uint16_t track)
+{
+    std::uint32_t slot;
+    if (freeEnvelopes_.empty()) {
+        slot = static_cast<std::uint32_t>(envelopes_.size());
+        envelopes_.emplace_back();
+    } else {
+        slot = freeEnvelopes_.back();
+        freeEnvelopes_.pop_back();
+    }
+    envelopes_[slot] = Envelope{trace, name, eq_.now(), track};
+    return slot;
+}
+
+void Tracer::closeEnvelope(std::uint32_t slot, const RequestBreakdown &b)
+{
+    const Envelope &e = envelopes_[slot];
+    if (e.name)
+        request(e.track, e.name, e.trace, e.start, eq_.now(), b);
+    dropEnvelope(slot);
 }
 
 void Tracer::request(std::uint16_t track, const char *name, TraceId trace,

@@ -240,9 +240,8 @@ class Tracer
     /**
      * Allocate a fresh request id (dense from 1, never 0) owned by
      * @p tenant. Every span emitted with the returned id is stamped
-     * with the tenant, so the request envelope sites
-     * (kern::openRequest, the fabric initiator) are the only places
-     * that need to know identity.
+     * with the tenant, so only the sites that open a request
+     * (kern::openRequest, the fabric target) need to know identity.
      */
     TraceId newTrace(TenantId tenant = kSystemTenant)
     {
@@ -302,6 +301,28 @@ class Tracer
      */
     void request(std::uint16_t track, const char *name, TraceId trace,
                  Time start, Time end, const RequestBreakdown &b);
+
+    /** @name Open request envelopes
+     * A kern::Request holds a slot here: the trace id and the
+     * envelope's name, track and start, until it finishes. Slots are
+     * reused, so the table holds only requests in flight. A slot
+     * opened with a null @p name carries a trace id and records
+     * nothing. */
+    ///@{
+    std::uint32_t openEnvelope(TraceId trace, const char *name,
+                               std::uint16_t track);
+    TraceId envelopeTrace(std::uint32_t slot) const
+    {
+        return envelopes_[slot].trace;
+    }
+    void setEnvelopeTrack(std::uint32_t slot, std::uint16_t track)
+    {
+        envelopes_[slot].track = track;
+    }
+    /** Record @p slot's envelope, ending now with @p b; free the slot. */
+    void closeEnvelope(std::uint32_t slot, const RequestBreakdown &b);
+    void dropEnvelope(std::uint32_t slot) { freeEnvelopes_.push_back(slot); }
+    ///@}
 
     /** @name Replay-stream recording (any level; see ReplayRec)
      * Sites are guarded by the component's tracer pointer, keeping the
@@ -365,6 +386,15 @@ class Tracer
         numberedTracks_;
     /** Owner of each request id; index == id - 1. */
     std::vector<TenantId> traceTenants_;
+    struct Envelope
+    {
+        TraceId trace = 0;
+        const char *name = nullptr;
+        Time start = 0;
+        std::uint16_t track = 0;
+    };
+    std::vector<Envelope> envelopes_;
+    std::vector<std::uint32_t> freeEnvelopes_;
     SpanSink *sink_ = nullptr;
     std::size_t spanCount_ = 0;
     sim::Histogram *hTotal_ = nullptr;

@@ -81,13 +81,6 @@ class Registry
         s.lastRefill = eq_.now();
     }
 
-    const TenantLimit *
-    limit(TenantId t) const
-    {
-        const auto it = states_.find(t);
-        return it == states_.end() ? nullptr : &it->second.limit;
-    }
-
     /** Dispatch weight; unregistered tenants (and weight 0) count 1. */
     std::uint32_t
     weightOf(TenantId t) const

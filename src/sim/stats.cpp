@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "sim/logging.hpp"
 
@@ -139,21 +138,7 @@ void
 MeanAccumulator::add(double x)
 {
     n_++;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-MeanAccumulator::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-MeanAccumulator::stddev() const
-{
-    return std::sqrt(variance());
+    mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 TimeSeries::TimeSeries(Time bucketWidth)

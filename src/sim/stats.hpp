@@ -75,20 +75,17 @@ class Histogram
     double sum_ = 0.0;
 };
 
-/** Incremental mean/variance accumulator (Welford). */
+/** Incremental mean accumulator. */
 class MeanAccumulator
 {
   public:
     void add(double x);
     std::uint64_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
 
   private:
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
 };
 
 /**
@@ -102,7 +99,6 @@ class TimeSeries
 
     void record(Time when, double amount);
 
-    Time bucketWidth() const { return width_; }
     std::size_t buckets() const { return sums_.size(); }
 
     /** Sum recorded into bucket @p i. */

@@ -114,25 +114,23 @@ SpdkDriver::doIo(Tid tid, ssd::Op op, DevAddr addr,
     sim::panicIf(draining_, "SPDK I/O submitted during shutdown drain");
     // The envelope opens at submission, so it covers any QoS park.
     const Time start = eq_.now();
-    const obs::TraceId trace = kern::openRequest(
+    kern::Request req = kern::openRequest(
         dev_.tracer(), owner_,
         op == ssd::Op::Write ? "spdk.write" : "spdk.read", "spdk.t", tid,
-        cb);
+        std::move(cb));
     // QoS gate: charge the owner tenant on the device's registry before
     // the submit-cost model runs. A parked I/O already counts as
     // pending, so a shutdown drain waits for it; the alive guard covers
-    // a driver destroyed while it is parked. The stage lambdas are
-    // mutable so each std::move(cb) moves the caller's callback on
-    // instead of copying it.
+    // a driver destroyed while it is parked.
     pendingIos_++;
     qos::admit(dev_.qos(), owner_, 1, buf.size(),
-               [this, alive = alive_, tid, op, addr, buf, start, trace,
-                cb = std::move(cb)]() mutable {
+               [this, alive = alive_, tid, op, addr, buf, start,
+                req = std::move(req)]() mutable {
         if (!*alive)
             return;
         const Time submitCost = cpu_.scaled(costs_.submitNs);
-        eq_.after(submitCost, [this, tid, op, addr, buf, start, trace,
-                               cb = std::move(cb)]() mutable {
+        eq_.after(submitCost, [this, tid, op, addr, buf, start,
+                               req = std::move(req)]() mutable {
             ThreadCtx &tc = ctx(tid);
             ssd::Command cmd;
             cmd.op = op;
@@ -140,23 +138,26 @@ SpdkDriver::doIo(Tid tid, ssd::Op op, DevAddr addr,
             cmd.addrIsVba = false;
             cmd.len = static_cast<std::uint32_t>(buf.size());
             cmd.hostBuf = buf; // zero-copy: DMA straight into the caller
-            cmd.trace = trace;
+            cmd.trace = req.trace();
             const Time tSubmit = eq_.now();
             const bool ok = tc.disp->submit(
-                cmd, [this, buf, start, tSubmit, cb = std::move(cb)](
+                cmd, [this, bytes = buf.size(), start, tSubmit,
+                      req = std::move(req)](
                          const ssd::Completion &comp) mutable {
                     const Time reap = cpu_.scaled(costs_.reapNs);
-                    eq_.after(reap, [this, buf, start, tSubmit, comp,
-                                     cb = std::move(cb)]() {
+                    eq_.after(reap, [this, bytes, start,
+                                     devNs = comp.completeTime - tSubmit,
+                                     status = comp.status,
+                                     req = std::move(req)]() mutable {
                         kern::IoTrace tr;
                         const Time total = eq_.now() - start;
-                        tr.deviceNs = comp.completeTime - tSubmit;
+                        tr.deviceNs = devNs;
                         tr.userNs = total - tr.deviceNs;
                         pendingIos_--;
-                        cb(comp.status == ssd::Status::Success
-                               ? static_cast<long long>(buf.size())
-                               : kern::devErr(comp.status),
-                           tr);
+                        req.finish(status == ssd::Status::Success
+                                       ? static_cast<long long>(bytes)
+                                       : kern::devErr(status),
+                                   tr);
                     });
                 });
             sim::panicIf(!ok, "SPDK queue overflow");

@@ -238,8 +238,6 @@ NvmeDevice::finish(QueuePair &qp, Completion comp)
     }
     qp.inflight_--;
     qp.completedOps_++;
-    if (comp.status != Status::Success)
-        qp.faults_++;
     if (qp.hook_)
         qp.hook_(comp);
     else
@@ -505,7 +503,6 @@ NvmeDevice::process(QueuePair &qp, Command cmd)
         else
             tc.ssdWriteBytes += cmd.len;
     }
-    qp.completedBytes_ += cmd.len;
 
     const std::uint32_t idx = allocJob();
     MediaJob &job = jobs_[idx];

@@ -147,8 +147,6 @@ class QueuePair
   public:
     std::uint16_t qid() const { return qid_; }
     Pasid pasid() const { return pasid_; }
-    bool vbaMode() const { return vbaMode_; }
-    bool disabled() const { return disabled_; }
 
     /**
      * Enqueue a command and ring the doorbell.
@@ -183,8 +181,6 @@ class QueuePair
     /** @name Per-queue statistics (fairness experiments) */
     ///@{
     std::uint64_t completedOps() const { return completedOps_; }
-    std::uint64_t completedBytes() const { return completedBytes_; }
-    std::uint64_t faults() const { return faults_; }
     ///@}
 
     /** @name Weighted-fair arbitration identity
@@ -225,8 +221,6 @@ class QueuePair
     TenantId qosTenant_ = kSystemTenant; //!< weight lookup key
 
     std::uint64_t completedOps_ = 0;
-    std::uint64_t completedBytes_ = 0;
-    std::uint64_t faults_ = 0;
 };
 
 /**
@@ -241,7 +235,6 @@ class NvmeDevice
 
     DevId devId() const { return devId_; }
     const SsdProfile &profile() const { return profile_; }
-    SsdProfile &profileMut() { return profile_; }
     BlockStore &store() { return store_; }
 
     /**
@@ -311,21 +304,19 @@ class NvmeDevice
     std::uint64_t readBytes() const { return readBytes_; }
     std::uint64_t writeBytes() const { return writeBytes_; }
     std::uint64_t translationFaults() const { return translationFaults_; }
-    unsigned busyUnits() const { return busyUnits_; }
     ///@}
 
     /** @name Health and eviction
      * An evicted device refuses every new command with
      * Status::DeviceEvicted after the command-fetch cost; commands
      * already past fetch drain normally, so eviction never hangs
-     * in-flight I/O. mediaOps/mediaErrors feed the health monitor; the
+     * in-flight I/O. Media errors feed the health monitor; the
      * health hook fires (same event, after the failing completion is
      * queued) each time an injected media error lands.
      */
     ///@{
     void setEvicted(bool on) { evicted_ = on; }
     bool evicted() const { return evicted_; }
-    std::uint64_t mediaOps() const { return mediaOps_; }
     std::uint64_t mediaErrors() const { return mediaErrors_; }
     void setHealthHook(std::function<void(std::uint64_t)> hook)
     {

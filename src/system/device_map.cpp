@@ -38,15 +38,6 @@ DeviceMap::setPresent(std::size_t i, bool p)
 }
 
 std::size_t
-DeviceMap::presentCount() const
-{
-    std::size_t n = 0;
-    for (bool p : present_)
-        n += p ? 1 : 0;
-    return n;
-}
-
-std::size_t
 DeviceMap::homeSlotOf(InodeNum ino)
 {
     auto it = home_.find(ino);

@@ -73,9 +73,7 @@ class DeviceMap
 
     /** @name Availability */
     ///@{
-    bool present(std::size_t i) const { return present_.at(i); }
     void setPresent(std::size_t i, bool p);
-    std::size_t presentCount() const;
     bool evicted(std::size_t i) const { return slots_.at(i)->dev.evicted(); }
     ///@}
 

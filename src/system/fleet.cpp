@@ -8,16 +8,6 @@ namespace bpd::sys {
 
 namespace {
 
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 sim::SimExecutor::Config
 execConfig(const FleetConfig &cfg)
 {
@@ -72,7 +62,7 @@ Fleet::start(Time tEnd)
 {
     for (unsigned i = 0; i < cfg_.systems; i++) {
         System &s = *systems_[i];
-        s.bindExecutor(&exec_, domainOf_[i]);
+        s.bindExecutor(&exec_);
         s.eq.schedule(s.eq.now() + cfg_.beaconPeriodNs,
                       [this, i, tEnd]() { beacon(i, tEnd); });
     }
@@ -96,10 +86,10 @@ Fleet::beacon(unsigned i, Time tEnd)
         domainOf_[i], ctrlDomain_, s.eq.now() + cfg_.fabricLatencyNs,
         [this, i, tEnd, ops, ev]() {
             beacons_++;
-            ctrlHash_ = fnv(ctrlHash_, i);
-            ctrlHash_ = fnv(ctrlHash_, ops);
-            ctrlHash_ = fnv(ctrlHash_, ev);
-            ctrlHash_ = fnv(ctrlHash_, ctrlEq_.now());
+            ctrlHash_ = sim::fnv(ctrlHash_, i);
+            ctrlHash_ = sim::fnv(ctrlHash_, ops);
+            ctrlHash_ = sim::fnv(ctrlHash_, ev);
+            ctrlHash_ = sim::fnv(ctrlHash_, ctrlEq_.now());
             exec_.post(ctrlDomain_, domainOf_[i],
                        ctrlEq_.now() + cfg_.fabricLatencyNs,
                        [this, i, tEnd]() {

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/fnv.hpp"
 #include "system/placement.hpp"
 #include "system/system.hpp"
 
@@ -124,7 +125,7 @@ class Fleet
     std::vector<std::uint32_t> domainOf_;
     sim::EventQueue ctrlEq_;
     std::uint32_t ctrlDomain_ = 0;
-    std::uint64_t ctrlHash_ = 0xcbf29ce484222325ull;
+    std::uint64_t ctrlHash_ = sim::kFnvSeed;
     std::uint64_t beacons_ = 0;
     sim::SimExecutor exec_;
 };

@@ -103,18 +103,10 @@ class System
 
     /**
      * Route run() through @p exec, which must own this system's queue
-     * as domain @p domainId. Bind only after setup: arming workloads
+     * as one of its domains. Bind only after setup: arming workloads
      * calls run() internally, and an executor run drives every domain.
      */
-    void
-    bindExecutor(sim::SimExecutor *exec, std::uint32_t domainId)
-    {
-        exec_ = exec;
-        execDomain_ = domainId;
-    }
-
-    /** Domain id under the bound executor (meaningful when bound). */
-    std::uint32_t executorDomain() const { return execDomain_; }
+    void bindExecutor(sim::SimExecutor *exec) { exec_ = exec; }
 
     Time now() const { return eq.now(); }
 
@@ -139,9 +131,6 @@ class System
      * tenant whose counters sum exactly to the system totals.
      */
     obs::TenantAccounting &enableTenantAccounting();
-
-    /** Is per-tenant attribution on? */
-    bool tenantAccountingEnabled() const { return acctEnabled_; }
 
     /** The per-tenant counter table (rows appear once enabled). */
     const obs::TenantAccounting &tenantAccounting() const { return acct_; }
@@ -229,7 +218,6 @@ class System
     std::unique_ptr<qos::Registry> qos_;
 
     sim::SimExecutor *exec_ = nullptr; //!< not owned; see bindExecutor
-    std::uint32_t execDomain_ = 0;
 
     /** One pending-eviction latch per slot (health monitor). */
     std::vector<bool> evictPending_;

@@ -42,14 +42,6 @@ VmGuest::fmapGuestBlocks(BlockNo guestStart, std::uint64_t blocks,
 }
 
 void
-VmGuest::funmapGuest(Vaddr vba, std::uint64_t blocks)
-{
-    for (std::uint64_t i = 0; i < blocks; i++)
-        guestPt_->clear(vba + i * kBlockBytes);
-    host_.iommu.invalidateRange(pasid_, vba, blocks * kBlockBytes);
-}
-
-void
 VmGuest::read(Vaddr vba, std::span<std::uint8_t> buf, std::uint64_t off,
               kern::IoCb cb)
 {

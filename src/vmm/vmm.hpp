@@ -44,9 +44,6 @@ class VmGuest
     Vaddr fmapGuestBlocks(BlockNo guestStart, std::uint64_t blocks,
                           bool writable);
 
-    /** Remove a guest mapping. */
-    void funmapGuest(Vaddr vba, std::uint64_t blocks);
-
     /** Direct read at a guest VBA. */
     void read(Vaddr vba, std::span<std::uint8_t> buf, std::uint64_t off,
               kern::IoCb cb);

@@ -41,7 +41,6 @@ class YcsbGenerator
     YcsbOp next();
 
     std::uint64_t records() const { return records_; }
-    Ycsb workload() const { return workload_; }
 
     static constexpr unsigned kMaxScanLen = 100;
 

@@ -22,7 +22,6 @@ XrpEngine::lookup(kern::Process &p, int fd, Hop first, ChainFn chain,
     }
     fs::Inode *ino = k_.vfs().fs().inode(of->ino);
     sim::panicIf(ino == nullptr, "XRP on dead inode");
-    lookups_++;
 
     // One full kernel entry for the first I/O (switch + thin setup +
     // block layer + driver); later hops resubmit from the driver.
@@ -31,26 +30,27 @@ XrpEngine::lookup(kern::Process &p, int fd, Hop first, ChainFn chain,
     const Time entry = k_.cpu().scaled(
         c.userToKernelNs + c.vfsCost(first.len) + c.blockLayerNs
         + c.nvmeDriverNs);
-    const TenantId tenant = p.pasid();
-    k_.eq().after(entry, [this, ino, first, chain = std::move(chain),
-                          start, tenant, cb = std::move(cb)]() mutable {
-        doHop(*ino, first, 0, std::move(chain), start, tenant,
-              std::move(cb));
+    // Hops are billed to and QoS-gated as the calling process; XRP
+    // opens no request envelope.
+    k_.eq().after(entry, [this, ino, first, chain = std::move(chain), start,
+                          req = kern::Request(std::move(cb),
+                                              p.pasid())]() mutable {
+        doHop(*ino, first, 0, std::move(chain), start, std::move(req));
     });
 }
 
 void
 XrpEngine::doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
-                 Time start, TenantId tenant, kern::IoCb cb)
+                 Time start, kern::Request req)
 {
-    hops_++;
     // Clip at EOF.
     if (hop.off >= ino.size) {
         const Time exit = k_.cpu().scaled(k_.costs().kernelToUserNs);
-        k_.eq().after(exit, [this, hopIdx, start, cb = std::move(cb)]() {
+        k_.eq().after(exit, [this, hopIdx, start,
+                             req = std::move(req)]() mutable {
             kern::IoTrace tr;
             tr.kernelNs = k_.eq().now() - start;
-            cb(static_cast<long long>(hopIdx), tr);
+            req.finish(static_cast<long long>(hopIdx), tr);
         });
         return;
     }
@@ -61,29 +61,29 @@ XrpEngine::doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
     fs::FsStatus st = k_.vfs().fs().mapRange(ino, hop.off, len, &segs);
     if (st != fs::FsStatus::Ok) {
         const Time exit = k_.cpu().scaled(k_.costs().kernelToUserNs);
-        k_.eq().after(exit, [st, cb = std::move(cb)]() {
-            cb(kern::errOf(st), kern::IoTrace{});
+        k_.eq().after(exit, [st, req = std::move(req)]() mutable {
+            req.finish(kern::errOf(st), kern::IoTrace{});
         });
         return;
     }
 
     auto block = std::make_shared<std::vector<std::uint8_t>>(len, 0);
-    // Every hop is billed to and QoS-gated as the calling process.
+    const kern::IoIdentity id = req.identity();
     k_.deviceIo(
         ssd::Op::Read, std::move(segs),
         std::span<std::uint8_t>(block->data(), block->size()),
-        [this, &ino, block, hopIdx, chain = std::move(chain), start, tenant,
-         cb = std::move(cb)](ssd::Status dst, Time devNs) mutable {
-            (void)devNs;
+        [this, &ino, block, hopIdx, chain = std::move(chain), start,
+         req = std::move(req)](ssd::Status dst, Time) mutable {
             if (dst != ssd::Status::Success) {
-                cb(kern::errOf(fs::FsStatus::Inval), kern::IoTrace{});
+                req.finish(kern::errOf(fs::FsStatus::Inval),
+                           kern::IoTrace{});
                 return;
             }
             // Run the BPF program in the driver context.
             const Time bpf = k_.cpu().scaled(costs_.bpfExecNs);
             k_.eq().after(bpf, [this, &ino, block, hopIdx,
-                                chain = std::move(chain), start, tenant,
-                                cb = std::move(cb)]() mutable {
+                                chain = std::move(chain), start,
+                                req = std::move(req)]() mutable {
                 std::optional<Hop> next = chain(
                     std::span<const std::uint8_t>(block->data(),
                                                   block->size()),
@@ -92,26 +92,25 @@ XrpEngine::doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
                     const Time exit
                         = k_.cpu().scaled(k_.costs().kernelToUserNs);
                     k_.eq().after(exit, [this, hopIdx, start,
-                                         cb = std::move(cb)]() {
+                                         req = std::move(req)]() mutable {
                         kern::IoTrace tr;
                         tr.kernelNs = k_.eq().now() - start;
-                        cb(static_cast<long long>(hopIdx) + 1, tr);
+                        req.finish(static_cast<long long>(hopIdx) + 1, tr);
                     });
                     return;
                 }
                 // Driver-level resubmission: no VFS/block-layer costs.
                 const Time resubmit
                     = k_.cpu().scaled(costs_.resubmitNs);
-                k_.eq().after(resubmit, [this, &ino, next, hopIdx,
+                k_.eq().after(resubmit, [this, &ino, hop = *next, hopIdx,
                                          chain = std::move(chain), start,
-                                         tenant,
-                                         cb = std::move(cb)]() mutable {
-                    doHop(ino, *next, hopIdx + 1, std::move(chain),
-                          start, tenant, std::move(cb));
+                                         req = std::move(req)]() mutable {
+                    doHop(ino, hop, hopIdx + 1, std::move(chain), start,
+                          std::move(req));
                 });
             });
         },
-        0, tenant);
+        id);
 }
 
 } // namespace bpd::xrp

@@ -55,17 +55,12 @@ class XrpEngine
     void lookup(kern::Process &p, int fd, Hop first, ChainFn chain,
                 kern::IoCb cb);
 
-    std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t hops() const { return hops_; }
-
   private:
     void doHop(fs::Inode &ino, Hop hop, unsigned hopIdx, ChainFn chain,
-               Time start, TenantId tenant, kern::IoCb cb);
+               Time start, kern::Request req);
 
     kern::Kernel &k_;
     XrpCosts costs_;
-    std::uint64_t lookups_ = 0;
-    std::uint64_t hops_ = 0;
 };
 
 } // namespace bpd::xrp

@@ -375,6 +375,9 @@ TEST_F(BypassdFixture, RevocationBetweenRmwReadAndWriteFallsBack)
     s.run();
     EXPECT_EQ(n, 100);
     EXPECT_EQ(lib->iommuFaults(), 1u) << "the write half faults";
+    // The fault's re-fmap gets no VBA: the fd is kernel-only while open.
+    EXPECT_FALSE(lib->isDirect(fd));
+    EXPECT_TRUE(s.module.isRevoked(ino));
     std::vector<std::uint8_t> after(8192);
     s.kernel.setupRead(*p, fd, after, 0);
     for (std::size_t i = 0; i < 8192; i++) {
@@ -509,6 +512,54 @@ TEST_F(BypassdFixture, MultiProcessMetadataChangeRevokes)
     std::uint64_t szB = s.ext4.inode(p->file(fdA)->ino)->size;
     EXPECT_EQ(ulPwrite(s, libB, 0, fdB, data, szB).n, 4096); // append B
     EXPECT_GE(s.module.revocations(), 1u);
+    const InodeNum ino = p->file(fdA)->ino;
+    EXPECT_TRUE(s.module.isRevoked(ino));
+
+    // A's next read faults, and its re-fmap is refused: kernel-only.
+    EXPECT_EQ(ulPread(s, *lib, 0, fdA, buf, 0).n, 4096);
+    EXPECT_FALSE(lib->isDirect(fdA));
+    EXPECT_TRUE(s.module.isRevoked(ino));
+}
+
+TEST_F(BypassdFixture, MetadataRevocationHoldsUntilTheLastClose)
+{
+    // A revoked capability comes back only through a new grant by the
+    // kernel (an open after every opener closed), never because its
+    // holder faulted and re-fmapped.
+    mkFile("/f", 1 << 20, 42);
+    const int fdA = ulOpen(s, *lib, "/f", kRw);
+    kern::Process &pB = s.newProcess();
+    bypassd::UserLib &libB = s.userLib(pB);
+    const int fdB = ulOpen(s, libB, "/f", kRw);
+    const InodeNum ino = p->file(fdA)->ino;
+    auto data = pattern(4096, 5);
+    EXPECT_EQ(ulPwrite(s, *lib, 0, fdA, data, lib->fileSize(fdA)).n, 4096);
+    EXPECT_EQ(ulPwrite(s, libB, 0, fdB, data, s.ext4.inode(ino)->size).n,
+              4096);
+    ASSERT_TRUE(s.module.isRevoked(ino));
+
+    // One read per process: each faults once and stays kernel-only.
+    std::vector<std::uint8_t> buf(4096);
+    EXPECT_EQ(ulPread(s, *lib, 0, fdA, buf, 0).n, 4096);
+    EXPECT_EQ(ulPread(s, libB, 0, fdB, buf, 0).n, 4096);
+    EXPECT_FALSE(lib->isDirect(fdA));
+    EXPECT_FALSE(libB.isDirect(fdB));
+    EXPECT_EQ(lib->iommuFaults(), 1u);
+    EXPECT_EQ(libB.iommuFaults(), 1u);
+    EXPECT_TRUE(s.module.isRevoked(ino));
+
+    // One opener closing leaves the other kernel-only.
+    EXPECT_EQ(ulClose(s, *lib, fdA), 0);
+    EXPECT_TRUE(s.module.isRevoked(ino));
+    EXPECT_EQ(ulPread(s, libB, 0, fdB, buf, 4096).n, 4096);
+    EXPECT_FALSE(libB.isDirect(fdB));
+    EXPECT_EQ(libB.iommuFaults(), 1u);
+
+    // The last close lifts the revocation; a fresh open is direct.
+    EXPECT_EQ(ulClose(s, libB, fdB), 0);
+    EXPECT_FALSE(s.module.isRevoked(ino));
+    const int fdC = ulOpen(s, *lib, "/f", kRw);
+    EXPECT_TRUE(lib->isDirect(fdC));
 }
 
 TEST_F(BypassdFixture, RevokedStateClearsWhenAllClose)

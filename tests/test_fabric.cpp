@@ -22,6 +22,7 @@
 #include "fabric/target.hpp"
 #include "helpers.hpp"
 #include "qos/qos.hpp"
+#include "sim/fnv.hpp"
 #include "sim/logging.hpp"
 #include "system/fleet.hpp"
 #include "system/placement.hpp"
@@ -30,15 +31,7 @@
 namespace bpd {
 namespace {
 
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+using sim::fnv;
 
 sys::SystemConfig
 smallSystem(std::uint64_t seed)
@@ -481,7 +474,7 @@ runTracedOrNot(bool traced, std::vector<std::string> *spanNames)
     net.exec.run();
 
     const auto &st = net.ini().stats();
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     h = fnv(h, st.reads);
     h = fnv(h, st.writes);
     h = fnv(h, st.inCapsuleWrites);
@@ -591,7 +584,7 @@ runMiniFabricFleet(unsigned shards)
     fleet.start(horizon);
     fleet.run();
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     for (std::size_t i = 0; i < runners.size(); i++) {
         h = digestFio(h, runners[i]->collect(std::move(pending[i])));
         h = fnv(h, inis[i]->stats().reads);
@@ -866,7 +859,7 @@ runIncastBurst(unsigned shards, std::uint32_t reactors)
         total += d;
     EXPECT_EQ(total, 4u * 32u);
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     Time maxLat = 0;
     for (unsigned c = 0; c < 4; c++) {
         const auto &st = net.ini(c).stats();

@@ -23,6 +23,7 @@
 #include "fabric/initiator.hpp"
 #include "fabric/target.hpp"
 #include "helpers.hpp"
+#include "sim/fnv.hpp"
 #include "sim/logging.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
@@ -31,15 +32,7 @@ using namespace bpd;
 
 namespace {
 
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+using sim::fnv;
 
 sys::SystemConfig
 fleetConfig(std::size_t maxDevices, std::uint64_t seed = 7)
@@ -458,7 +451,7 @@ runRdmaPullEvictionRace(unsigned shards)
     // device answers DeviceEvicted; no data moved.
     EXPECT_EQ(net.target.devices.slot(1).dev.totalOps(), 1u);
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     h = fnv(h, static_cast<std::uint64_t>(wn));
     h = fnv(h, static_cast<std::uint64_t>(rn));
     h = fnv(h, net.tgt.rdmaTransfers());
@@ -515,7 +508,7 @@ runBacklogEvictionRace(unsigned shards)
     EXPECT_EQ(net.ini().inflight(), 0u);
     EXPECT_EQ(net.tgt.pendingIos(), 0u);
 
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvSeed;
     for (long long n : results)
         h = fnv(h, static_cast<std::uint64_t>(n));
     h = fnv(h, net.target.devices.slot(1).dev.totalOps());

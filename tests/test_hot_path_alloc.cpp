@@ -5,7 +5,9 @@
  * 4 KiB I/O performs ZERO heap allocations — from the engine call
  * through the NVMe model (dispatcher table, SQ ring, MediaJob slab) and
  * the IOMMU walk back to the caller's callback — on the BypassD direct
- * path (read and overwrite) and the SPDK baseline. Kept as its own
+ * path (read and overwrite) and the SPDK baseline. Traced, a read
+ * keeps only amortized span storage: its request record borrows a
+ * reused slot of the tracer's envelope table. Kept as its own
  * executable (bpd_hot_path_alloc_tests), like bpd_obs_alloc_tests, so
  * the counting allocator cannot interfere with the main suite.
  *
@@ -181,6 +183,57 @@ TEST(HotPathAlloc, SpdkReadAllocatesNothing)
     EXPECT_EQ(bad, 0);
     EXPECT_EQ(allocs, 0u) << "heap allocations across " << kOps
                           << " steady-state 4 KiB SPDK reads";
+    drv.shutdown();
+    s.run();
+}
+
+/** Traced reads may grow the tracer's span and trace-id tables, whose
+ *  growth is amortized: fewer than one allocation per 100 reads. */
+constexpr std::uint64_t kTracedAllocBound = kOps / 100;
+
+TEST(HotPathAlloc, TracedBypassdDirectPreadAllocatesOnlySpanStorage)
+{
+    BypassdFile f;
+    f.s.enableTracing(obs::Level::Device);
+    ASSERT_TRUE(f.lib.isDirect(f.fd));
+    std::vector<std::uint8_t> buf(4096);
+    long long bad = 0;
+    const std::uint64_t allocs = allocationsPerRun([&](int i) {
+        f.lib.pread(0, f.fd, buf, static_cast<std::uint64_t>(i % 256) * 4096,
+                    [&bad](long long n, kern::IoTrace) {
+                        bad += n != 4096;
+                    });
+        f.s.run();
+    });
+    EXPECT_EQ(bad, 0);
+    EXPECT_GT(f.s.tracer()->spanCount(),
+              static_cast<std::size_t>(kWarmOps + kOps));
+    EXPECT_LT(allocs, kTracedAllocBound)
+        << "heap allocations across " << kOps
+        << " steady-state traced 4 KiB direct reads";
+}
+
+TEST(HotPathAlloc, TracedSpdkReadAllocatesOnlySpanStorage)
+{
+    sim::setVerbose(false);
+    sys::System s(test::smallConfig());
+    s.enableTracing(obs::Level::Device);
+    kern::Process &p = s.newProcess();
+    spdk::SpdkDriver drv(s.eq, s.dev, s.kernel.cpu(), p.pasid());
+    ASSERT_TRUE(drv.init());
+    std::vector<std::uint8_t> buf(4096);
+    long long bad = 0;
+    const std::uint64_t allocs = allocationsPerRun([&](int i) {
+        drv.read(0, static_cast<DevAddr>(i % 256) * 4096, buf,
+                 [&bad](long long n, kern::IoTrace) { bad += n != 4096; });
+        s.run();
+    });
+    EXPECT_EQ(bad, 0);
+    EXPECT_GT(s.tracer()->spanCount(),
+              static_cast<std::size_t>(kWarmOps + kOps));
+    EXPECT_LT(allocs, kTracedAllocBound)
+        << "heap allocations across " << kOps
+        << " steady-state traced 4 KiB SPDK reads";
     drv.shutdown();
     s.run();
 }

@@ -329,22 +329,6 @@ TEST(IommuPrefetch, LeavesWalkCacheLruOrderAlone)
     EXPECT_EQ(iommu.walkCache().misses(), misses + 1);
 }
 
-TEST_F(IommuFixture, AsyncTranslationTakesLatency)
-{
-    mapBlocks(0x40000000, 500, 1);
-    bool done = false;
-    Time doneAt = 0;
-    iommu.translateVba(kP, 0x40000000, 4096, false, kDev,
-                       [&](TransResult r) {
-                           done = r.ok;
-                           doneAt = eq.now();
-                       });
-    EXPECT_FALSE(done);
-    eq.run();
-    EXPECT_TRUE(done);
-    EXPECT_GT(doneAt, 0u);
-}
-
 TEST_F(IommuFixture, InvalidationForcesWalkCacheMiss)
 {
     mapBlocks(0x40000000, 500, 1);

@@ -33,6 +33,7 @@
 #include "sim/event_queue.hpp"
 #include "system/fleet.hpp"
 #include "system/system.hpp"
+#include "tests/helpers.hpp"
 #include "workloads/fio.hpp"
 
 using namespace bpd;
@@ -234,27 +235,29 @@ TEST(Tracer, OpenRequestRecordsTheEnvelopeAtCompletion)
     sim::EventQueue eq;
     obs::Tracer t(eq, obs::Level::Requests);
     int calls = 0;
-    kern::IoCb cb = [&](long long, kern::IoTrace) { calls++; };
+    auto cb = [&](long long, kern::IoTrace) { calls++; };
 
-    // Tracing off: no id, and the caller's callback stays as it is.
-    EXPECT_EQ(kern::openRequest(nullptr, 5, "x.read", "x.p", 1, cb), 0u);
-    cb(0, kern::IoTrace{});
+    // Tracing off: no trace id, the tenant kept, nothing recorded.
+    kern::Request off = kern::openRequest(nullptr, 5, "x.read", "x.p", 1, cb);
+    EXPECT_EQ(off.trace(), 0u);
+    EXPECT_EQ(off.tenant(), 5u);
+    off.finish(0, kern::IoTrace{});
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(t.spanCount(), 0u);
 
-    // Tracing on: the envelope spans submission to completion, on the
+    // Tracing on: the envelope spans submission to finish(), on the
     // numbered track, owned by the tenant, with the IoTrace breakdown.
     eq.schedule(100, [&] {
-        const obs::TraceId id
-            = kern::openRequest(&t, 5, "x.read", "x.p", 1, cb);
-        EXPECT_NE(id, 0u);
-        EXPECT_EQ(t.tenantOf(id), 5u);
-        eq.schedule(350, [cb] {
+        kern::Request req = kern::openRequest(&t, 5, "x.read", "x.p", 1, cb);
+        EXPECT_NE(req.trace(), 0u);
+        EXPECT_EQ(t.tenantOf(req.trace()), 5u);
+        EXPECT_EQ(req.tenant(), 5u);
+        eq.schedule(350, [req = std::move(req)]() mutable {
             kern::IoTrace tr;
             tr.userNs = 50;
             tr.kernelNs = 120;
             tr.deviceNs = 80;
-            cb(4096, tr);
+            req.finish(4096, tr);
         });
     });
     eq.run();
@@ -521,6 +524,47 @@ TEST(TracedRun, JournalCommitInstantsMatchJournalAtLayersLevel)
                     && name != "bypassd.fmap_warm")
             << name;
     }
+}
+
+TEST(TracedRun, FaultedBypassdReadFinishesInTheKernelUnderOneEnvelope)
+{
+    // A kernel-interface open revokes direct access. The next BypassD
+    // pread faults, re-fmaps to VBA 0 and completes through the kernel,
+    // and stays one bypassd.pread request: the kernel opens no
+    // sync.pread envelope for it.
+    sim::setVerbose(false);
+    sys::System s(test::smallConfig());
+    s.enableTracing(obs::Level::Device);
+    kern::Process &a = s.newProcess();
+    bypassd::UserLib &lib = s.userLib(a);
+    test::kClose(s, a, s.kernel.setupCreateFile(a, "/f", 1 << 20, 7));
+    const int fd
+        = test::ulOpen(s, lib, "/f", fs::kOpenRead | fs::kOpenDirect);
+    ASSERT_TRUE(lib.isDirect(fd));
+    kern::Process &b = s.newProcess();
+    ASSERT_GE(test::kOpen(s, b, "/f", fs::kOpenRead), 0);
+
+    std::vector<std::uint8_t> buf(4096);
+    EXPECT_EQ(test::ulPread(s, lib, 0, fd, buf, 0).n, 4096);
+    EXPECT_EQ(lib.iommuFaults(), 1u);
+    EXPECT_FALSE(lib.isDirect(fd));
+
+    std::vector<const obs::SpanRec *> envelopes;
+    std::set<obs::TraceId> faultTraces, kernelTraces;
+    for (const obs::SpanRec &rec : s.tracer()->data().spans) {
+        const std::string name = rec.name;
+        if (isEnvelope(rec))
+            envelopes.push_back(&rec);
+        if (name == "bypassd.iommu_fault")
+            faultTraces.insert(rec.trace);
+        if (name == "kern.vfs_submit" || name == "kern.exit")
+            kernelTraces.insert(rec.trace);
+    }
+    ASSERT_EQ(envelopes.size(), 1u);
+    EXPECT_STREQ(envelopes[0]->name, "bypassd.pread");
+    // The fault and the kernel leg belong to the same request.
+    EXPECT_EQ(faultTraces, std::set<obs::TraceId>{envelopes[0]->trace});
+    EXPECT_EQ(kernelTraces, std::set<obs::TraceId>{envelopes[0]->trace});
 }
 
 // ---------------------------------------------------------------------

@@ -13,25 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/fnv.hpp"
 #include "sim/random.hpp"
 #include "sim/sim_executor.hpp"
 
 using namespace bpd;
 using namespace bpd::sim;
-
-namespace {
-
-std::uint64_t
-fnv(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
 
 TEST(SimExecutor, SingleDomainMatchesPlainRun)
 {
@@ -189,7 +176,7 @@ runStorm(unsigned shards)
     {
         EventQueue eq;
         Rng rng{0};
-        std::uint64_t hash = 0xcbf29ce484222325ull;
+        std::uint64_t hash = kFnvSeed;
         int ticksLeft = 120;
     };
 
