@@ -95,51 +95,49 @@ foregroundLatency(Engine fgEngine, unsigned backgroundReaders,
     const Time tEnd = measureStart + 8 * kMs;
     rec.cpuAcquire(*fg->proc, backgroundReaders + 1);
 
+    // The drive loops live on this frame: s->run() below drains them.
     // Background load: queue depth 4 per process until tEnd.
-    for (auto &bgp : bgs) {
-        Reader *bg = bgp.get();
-        auto loop = std::make_shared<std::function<void()>>();
-        *loop = [bg, loop, tEnd, &s, &rec]() {
+    std::vector<std::function<void()>> bgLoops(bgs.size());
+    for (std::size_t i = 0; i < bgs.size(); i++) {
+        Reader *bg = bgs[i].get();
+        std::function<void()> &loop = bgLoops[i];
+        loop = [bg, &loop, tEnd, &s, &rec]() {
             if (s->now() >= tEnd)
                 return;
             const std::uint64_t off
                 = bg->rng.nextUint(kFile / 4096) * 4096;
             rec.pread(*bg->lib, *bg->proc, 0, bg->fd, bg->buf, off, 0,
                       bg->fileId,
-                      [loop](long long, kern::IoTrace) { (*loop)(); });
+                      [&loop](long long, kern::IoTrace) { loop(); });
         };
         for (int d = 0; d < 4; d++)
-            (*loop)();
+            loop();
     }
 
     // Foreground: QD1 4 KiB random reads; record measured-window ops.
     auto lat = std::make_shared<sim::Histogram>();
-    {
-        Reader *f = fg.get();
-        auto loop = std::make_shared<std::function<void()>>();
-        *loop = [f, loop, lat, measureStart, tEnd, fgEngine, &s,
-                 &rec]() {
-            if (s->now() >= tEnd)
-                return;
-            const std::uint64_t off
-                = f->rng.nextUint(kFile / 4096) * 4096;
-            const Time t0 = s->now();
-            auto done = [loop, lat, t0, measureStart, tEnd,
-                         &s](long long n, kern::IoTrace) {
-                sim::panicIf(n < 0, "foreground read failed");
-                if (t0 >= measureStart && s->now() <= tEnd)
-                    lat->record(s->now() - t0);
-                (*loop)();
-            };
-            if (fgEngine == Engine::Bypassd)
-                rec.pread(*f->lib, *f->proc, 0, f->fd, f->buf, off, 0,
-                          f->fileId, done);
-            else
-                rec.sysPread(*f->proc, f->fd, f->buf, off, 0, f->fileId,
-                             done);
+    Reader *f = fg.get();
+    std::function<void()> fgLoop = [f, &fgLoop, lat, measureStart, tEnd,
+                                    fgEngine, &s, &rec]() {
+        if (s->now() >= tEnd)
+            return;
+        const std::uint64_t off = f->rng.nextUint(kFile / 4096) * 4096;
+        const Time t0 = s->now();
+        auto done = [&fgLoop, lat, t0, measureStart, tEnd,
+                     &s](long long n, kern::IoTrace) {
+            sim::panicIf(n < 0, "foreground read failed");
+            if (t0 >= measureStart && s->now() <= tEnd)
+                lat->record(s->now() - t0);
+            fgLoop();
         };
-        (*loop)();
-    }
+        if (fgEngine == Engine::Bypassd)
+            rec.pread(*f->lib, *f->proc, 0, f->fd, f->buf, off, 0,
+                      f->fileId, done);
+        else
+            rec.sysPread(*f->proc, f->fd, f->buf, off, 0, f->fileId,
+                         done);
+    };
+    fgLoop();
 
     s->run();
     rec.cpuRelease(*fg->proc, backgroundReaders + 1);
@@ -217,11 +215,13 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
         const unsigned nProcs = kVictims + (withAggressor ? 1 : 0);
         rec.cpuAcquire(*victims[0]->proc, nProcs);
 
+        // The drive loops live on this frame: s->run() drains them.
         auto lat = std::make_shared<sim::Histogram>();
-        for (auto &vp : victims) {
-            Reader *v = vp.get();
-            auto loop = std::make_shared<std::function<void()>>();
-            *loop = [v, loop, lat, measureStart, tEnd, &s, &rec]() {
+        std::vector<std::function<void()>> victimLoops(victims.size());
+        for (std::size_t i = 0; i < victims.size(); i++) {
+            Reader *v = victims[i].get();
+            std::function<void()> &loop = victimLoops[i];
+            loop = [v, &loop, lat, measureStart, tEnd, &s, &rec]() {
                 if (s->now() >= tEnd)
                     return;
                 const std::uint64_t off
@@ -229,39 +229,40 @@ runQosGate(bench::ObsCapture &obs, bench::BenchJson *out)
                 const Time t0 = s->now();
                 rec.pread(*v->lib, *v->proc, 0, v->fd, v->buf, off, 0,
                           v->fileId,
-                          [loop, lat, t0, measureStart, tEnd,
+                          [&loop, lat, t0, measureStart, tEnd,
                            &s](long long n, kern::IoTrace) {
                               sim::panicIf(n < 0, "victim read failed");
                               if (t0 >= measureStart && s->now() <= tEnd)
                                   lat->record(s->now() - t0);
-                              (*loop)();
+                              loop();
                           });
             };
-            (*loop)();
+            loop();
         }
 
         auto aggrOps = std::make_shared<std::uint64_t>(0);
+        std::function<void()> aggrLoop;
         if (withAggressor) {
             Reader *a = aggr.get();
-            auto loop = std::make_shared<std::function<void()>>();
-            *loop = [a, loop, aggrOps, measureStart, tEnd, &s, &rec]() {
+            aggrLoop = [a, &aggrLoop, aggrOps, measureStart, tEnd, &s,
+                        &rec]() {
                 if (s->now() >= tEnd)
                     return;
                 const std::uint64_t off
                     = a->rng.nextUint(kFile / 4096) * 4096;
                 rec.pread(*a->lib, *a->proc, 0, a->fd, a->buf, off, 0,
                           a->fileId,
-                          [loop, aggrOps, measureStart, tEnd,
+                          [&aggrLoop, aggrOps, measureStart, tEnd,
                            &s](long long n, kern::IoTrace) {
                               sim::panicIf(n < 0, "aggressor read failed");
                               if (s->now() > measureStart
                                   && s->now() <= tEnd)
                                   (*aggrOps)++;
-                              (*loop)();
+                              aggrLoop();
                           });
             };
             for (int d = 0; d < 16; d++)
-                (*loop)();
+                aggrLoop();
         }
 
         s->run();

@@ -69,21 +69,21 @@ main(int argc, char **argv)
     std::vector<std::uint8_t> buf(4096);
     sim::Rng rng(5);
 
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&, loop]() {
+    // The loop lives on this frame: s->run() below drains it.
+    std::function<void()> loop = [&]() {
         if (s->now() >= tEnd)
             return;
         const std::uint64_t off
             = rng.nextUint((1ull << 30) / 4096) * 4096;
         rec.pread(lib, reader, 0, fd, buf, off, 0, sharedDb,
-                  [&, loop](long long n, kern::IoTrace) {
+                  [&](long long n, kern::IoTrace) {
                       if (n > 0)
                           throughput.record(s->now(),
                                             static_cast<double>(n));
-                      (*loop)();
+                      loop();
                   });
     };
-    (*loop)();
+    loop();
 
     // At t=5s, a second process opens the file via the kernel interface
     // (buffered), triggering revocation. Recorded on its own numbered

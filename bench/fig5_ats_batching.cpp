@@ -67,7 +67,7 @@ main(int argc, char **argv)
     std::printf("\nPaper: ~180-220ns overhead, a slight step at 3+ "
                 "translations,\nflat afterwards (8 FTEs per cacheline).\n");
 
-    // Only VBAs are translated here, so the IOTLB (DMA IOVAs) is idle.
+    // Only VBAs are translated here: the walk cache is the one cache.
     if (obs.enabled()) {
         reg.counter("iommu", "walk_cache_hits")
             .set(mmu.walkCache().hits());

@@ -113,8 +113,7 @@ struct ScenarioResult
 void
 fillCounters(ScenarioResult &r, sys::System &s)
 {
-    // VBA translation caches its upper levels in the walk cache; the
-    // IOTLB serves only DMA/IOVA lookups, which no scenario here makes.
+    // VBA translation caches its upper levels in the walk cache.
     r.counters.walkCacheHits += s.iommu.walkCache().hits();
     r.counters.walkCacheMisses += s.iommu.walkCache().misses();
     r.counters.pageWalkFrames += s.iommu.framesRead();
@@ -290,21 +289,21 @@ runFig12Revocation(bool quick, unsigned shards, bench::ObsCapture &obs)
     std::vector<std::uint8_t> buf(4096);
     sim::Rng rng(5);
 
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&, loop]() {
+    // The loop lives on this frame: s->run() below drains it.
+    std::function<void()> loop = [&]() {
         if (s->now() >= tEnd)
             return;
         const std::uint64_t off
             = rng.nextUint((1ull << 30) / 4096) * 4096;
         rec.pread(lib, reader, 0, fd, buf, off, 0, sharedDb,
-                  [&, loop](long long n, kern::IoTrace) {
+                  [&](long long n, kern::IoTrace) {
                       if (n > 0)
                           throughput.record(s->now(),
                                             static_cast<double>(n));
-                      (*loop)();
+                      loop();
                   });
     };
-    (*loop)();
+    loop();
 
     // The intruder's open fires at an absolute time while reads are in
     // flight, so it records on a numbered lane of its own process.

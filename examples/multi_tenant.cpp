@@ -112,7 +112,7 @@ main()
     cmd.dmaIova = uq->dmaIova;
     cmd.useIova = true;
     ssd::Status st = ssd::Status::Success;
-    uq->dispatcher->submit(cmd, [&](const ssd::Completion &c) {
+    uq->qp->submit(cmd, [&](const ssd::Completion &c) {
         st = c.status;
     });
     s.run();

@@ -41,25 +41,18 @@ BypassdModule::cacheOf(fs::Inode &ino)
     return static_cast<FileTableCache *>(ino.fileTable.get());
 }
 
+bool
+BypassdModule::mappedDirect(fs::Inode &ino)
+{
+    const FileTableCache *cache = cacheOf(ino);
+    return cache && !cache->attachments.empty();
+}
+
 iommu::Iommu &
 BypassdModule::homeIommu(InodeNum ino)
 {
     auto it = cacheHome_.find(ino);
     return kernel_.slotIommu(it == cacheHome_.end() ? 0 : it->second);
-}
-
-std::size_t
-BypassdModule::homeSlotOf(const fs::Inode &ino) const
-{
-    if (homeSlot_)
-        return homeSlot_(ino);
-    // Default: derive from the first extent's physical block. Placement
-    // guarantees every extent of an inode lives on one slot, so the
-    // first is representative; extentless files go to slot 0.
-    const auto &exts = ino.extents.extents();
-    if (exts.empty())
-        return 0;
-    return kernel_.slotOf(exts.front().pblk * kBlockBytes);
 }
 
 FileTableCache *
@@ -69,7 +62,7 @@ BypassdModule::ensureCache(fs::Inode &ino, FmapResult *res)
         // Cold fmap: build the shared file tables from the extent tree
         // (Section 4.1). Cost: per-FTE writes plus extent walks. FTEs
         // carry the home device's DevID and slot-local block addresses.
-        const std::size_t slot = homeSlotOf(ino);
+        const std::size_t slot = kernel_.homeSlotOf(ino);
         auto cache = std::make_shared<FileTableCache>(
             kernel_.frames(), kernel_.slotDevice(slot).devId(),
             kernel_.slotBase(slot) / kBlockBytes);
@@ -144,7 +137,7 @@ BypassdModule::fmap(kern::Process &p, InodeNum inoNum, bool writable)
     // Multi-device fleet: a file homed on an unattached or evicted
     // device gets no VBA — the caller falls back to the kernel
     // interface, where I/O to the dead device fails with ENODEV.
-    const std::size_t home = homeSlotOf(*ino);
+    const std::size_t home = kernel_.homeSlotOf(*ino);
     if (home >= kernel_.slotCount()
         || kernel_.slotDevice(home).evicted())
         return reject(p, res, inoNum, home);
@@ -197,7 +190,6 @@ BypassdModule::fmap(kern::Process &p, InodeNum inoNum, bool writable)
 
     cache->attachments[p.pid()] = FileTableCache::Attachment{
         vba, regionBytes, writable, leaves.size()};
-    ino->bypassdOpeners.insert(p.pid());
 
     res.vba = vba;
     res.mappedBytes = cache->mappedBlocks() * kBlockBytes;
@@ -239,7 +231,6 @@ BypassdModule::detachOne(kern::Process &p, fs::Inode &ino,
         p.aspace().release(att.vba, att.regionBytes);
     }
     cache.attachments.erase(it);
-    ino.bypassdOpeners.erase(p.pid());
 }
 
 void
@@ -322,7 +313,7 @@ BypassdModule::onKernelOpen(fs::Inode &ino)
     // A file mapped for userspace access got opened through the kernel
     // interface: concurrent access through both is not supported, so
     // revoke direct access (Section 4.5.2).
-    if (!ino.bypassdOpeners.empty())
+    if (mappedDirect(ino))
         revoke(ino);
 }
 
@@ -345,7 +336,7 @@ BypassdModule::onMetadataChange(fs::Inode &ino, Pid pid)
     if (ino.lastMetadataWriter != 0 && ino.lastMetadataWriter != pid)
         ino.metadataMultiWriter = true;
     ino.lastMetadataWriter = pid;
-    if (ino.metadataMultiWriter && !ino.bypassdOpeners.empty())
+    if (ino.metadataMultiWriter && mappedDirect(ino))
         revoke(ino);
 }
 
@@ -417,7 +408,6 @@ BypassdModule::createUserQueues(kern::Process &p, std::uint32_t depth,
                                                       /*vbaMode=*/true);
     if (!uq->qp)
         return nullptr;
-    uq->dispatcher = std::make_unique<ssd::CommandDispatcher>(*uq->qp);
     uq->dmaBuf.assign(dmaBytes, 0);
     uq->dmaIova = p.aspace().reserve(dmaBytes, kBlockBytes);
     // The DMA buffer is registered with the home device's IOMMU context;

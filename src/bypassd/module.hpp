@@ -35,7 +35,6 @@ struct FmapResult
 struct UserQueues
 {
     ssd::QueuePair *qp = nullptr;
-    std::unique_ptr<ssd::CommandDispatcher> dispatcher;
     std::vector<std::uint8_t> dmaBuf;
     std::uint64_t dmaIova = 0;
     Time setupCost = 0;
@@ -75,19 +74,6 @@ class BypassdModule : public kern::BypassdHooks
      * @return Number of inodes whose caches were revoked.
      */
     std::size_t revokeSlot(std::size_t slot);
-
-    /**
-     * Multi-device placement hook: returns the home device slot for an
-     * inode. Must agree with the file system's block placement (System
-     * wires both from the same DeviceMap). Null (default) derives the
-     * slot from the first extent's physical block — correct for
-     * single-device volumes (always 0).
-     */
-    using HomeSlotFn = std::function<std::size_t(const fs::Inode &)>;
-    void setHomeSlot(HomeSlotFn fn) { homeSlot_ = std::move(fn); }
-
-    /** Home device slot of @p ino (see setHomeSlot). */
-    std::size_t homeSlotOf(const fs::Inode &ino) const;
 
     /**
      * Create a VBA-capable queue pair + pinned DMA buffer for @p p on
@@ -141,6 +127,8 @@ class BypassdModule : public kern::BypassdHooks
 
   private:
     FileTableCache *cacheOf(fs::Inode &ino);
+    /** Some process has @p ino's file tables attached. */
+    bool mappedDirect(fs::Inode &ino);
     FileTableCache *ensureCache(fs::Inode &ino, FmapResult *res);
     /** IOMMU context of the slot @p ino's cache was built on (0 if none). */
     iommu::Iommu &homeIommu(InodeNum ino);
@@ -182,7 +170,6 @@ class BypassdModule : public kern::BypassdHooks
 
     std::set<InodeNum> revoked_;
 
-    HomeSlotFn homeSlot_;
     /**
      * Inodes with a built file-table cache, keyed to their home slot at
      * build time. std::map keeps revokeSlot()'s walk in deterministic

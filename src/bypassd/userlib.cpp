@@ -412,7 +412,7 @@ UserLib::drainPendingWrites(int fd, std::function<void()> done)
 
 void
 UserLib::submitWithRetry(UserQueues &q, const ssd::Command &cmd,
-                         ssd::CommandDispatcher::CompletionFn &&fn)
+                         ssd::CompletionFn &&fn)
 {
     // QoS gate on the direct path: data commands charge the process's
     // token buckets exactly once (the SQ-full retry loop in submitNow
@@ -427,9 +427,9 @@ UserLib::submitWithRetry(UserQueues &q, const ssd::Command &cmd,
 
 void
 UserLib::submitNow(UserQueues &q, const ssd::Command &cmd,
-                   ssd::CommandDispatcher::CompletionFn &&fn)
+                   ssd::CompletionFn &&fn)
 {
-    if (q.dispatcher->submit(cmd, std::move(fn)))
+    if (q.qp->submit(cmd, std::move(fn)))
         return;
     // SQ full: the refused submit left fn intact; poll and retry shortly.
     kernel_.eq().after(500, [this, q = &q, cmd,

@@ -198,9 +198,9 @@ class UserLib
     void handleFault(int fd, kern::Request req, Resume resume);
 
     void submitWithRetry(UserQueues &q, const ssd::Command &cmd,
-                         ssd::CommandDispatcher::CompletionFn &&fn);
+                         ssd::CompletionFn &&fn);
     void submitNow(UserQueues &q, const ssd::Command &cmd,
-                   ssd::CommandDispatcher::CompletionFn &&fn);
+                   ssd::CompletionFn &&fn);
 
     kern::Kernel &kernel_;
     BypassdModule &module_;

@@ -16,7 +16,7 @@
  * Every fabric message is an executor post() across a declared
  * channel whose minimum latency is oneWayNs — which is exactly why
  * remote clients parallelize under the conservative-window executor:
- * unlike the zero-latency intra-machine completion hook, the fabric
+ * unlike the zero-latency intra-machine completion callback, the fabric
  * hop gives the executor an honest lookahead (DESIGN.md §13).
  */
 

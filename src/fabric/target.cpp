@@ -161,7 +161,6 @@ FabricTarget::finishConnect(FabricInitiator *ini, std::uint32_t gen,
         // Weighted-fair SQ arbitration keys on the connection tenant,
         // not the shared kFabricOwnerPasid, so per-lane weights work.
         c->qp->setQosTenant(tenant);
-        c->disp = std::make_unique<ssd::CommandDispatcher>(*c->qp);
         c->open = true;
         accepts_++;
         ConnInfo info;
@@ -395,7 +394,7 @@ FabricTarget::submitIo(Conn *cp, const ParkedIo &io)
     const obs::TraceId trace = io.trace;
     // The reap stage carries only the status and device time of the
     // completion, which keeps its capture inside the inline buffer.
-    const bool submitted = cp->disp->submit(
+    const bool submitted = cp->qp->submit(
         cmd, [this, cp, cid, op, len, buf = io.buf, capsuleAt, trace,
               tSubmit, alive = alive_](const ssd::Completion &comp) mutable {
             const Time reap = sys_.kernel.cpu().scaled(costs_.reapNs);
@@ -500,9 +499,9 @@ FabricTarget::teardownPoll(std::uint32_t connId)
         return;
     Conn &c = *it->second;
     if (c.inflight > 0 || !c.xfers.empty()
-        || (c.disp && c.disp->outstanding() > 0)) {
-        // Queue pairs and dispatchers must outlive their completions;
-        // poll until the last one reaps (mirrors SpdkDriver teardown).
+        || (c.qp && c.qp->outstanding() > 0)) {
+        // Queue pairs must outlive their completions; poll until the
+        // last one reaps (mirrors SpdkDriver teardown).
         sys_.eq.after(kUs, [this, connId, alive = alive_] {
             if (*alive)
                 teardownPoll(connId);

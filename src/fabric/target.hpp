@@ -9,14 +9,14 @@
  * use, so a hot-plugged slot becomes servable without restarting the
  * target.
  *
- * Each accepted connection gets its own I/O queue pair and command
- * dispatcher, created under the target's owner PASID (the exclusive
- * claim refuses any other owner); every command the target submits on
- * a connection's behalf carries Command::tenant = the connection's
- * bound tenant, so the device's attribution sites — co-located with
- * the aggregate counters — fold remote traffic into TenantAccounting
- * bit-exactly (System::verifyTenantSums holds on the target with
- * remote-only traffic).
+ * Each accepted connection gets its own I/O queue pair, created under
+ * the target's owner PASID (the exclusive claim refuses any other
+ * owner); every command the target submits on a connection's behalf
+ * carries Command::tenant = the connection's bound tenant, so the
+ * device's attribution sites — co-located with the aggregate
+ * counters — fold remote traffic into TenantAccounting bit-exactly
+ * (System::verifyTenantSums holds on the target with remote-only
+ * traffic).
  *
  * A single admin queue serializes connect/disconnect processing
  * (connection storms queue behind adminProcessNs each); the data path
@@ -49,7 +49,7 @@
 
 #include "fabric/protocol.hpp"
 #include "spdk/spdk.hpp"
-#include "ssd/dispatcher.hpp"
+#include "ssd/nvme.hpp"
 #include "system/placement.hpp"
 #include "system/system.hpp"
 
@@ -193,7 +193,6 @@ class FabricTarget
         ssd::NvmeDevice *dev = nullptr; //!< that slot's device
         bool open = false;
         ssd::QueuePair *qp = nullptr;
-        std::unique_ptr<ssd::CommandDispatcher> disp;
         std::map<std::uint64_t, PendingXfer> xfers;
         std::uint32_t inflight = 0; //!< pending at target (incl. parked)
         std::uint32_t devInflight = 0; //!< on the device, not yet reaped

@@ -361,7 +361,7 @@ Ext4Fs::unlink(const std::string &path, const Credentials &creds)
         return FsStatus::NotEmpty;
     if (!mayAccess(*parent, creds, false, true))
         return FsStatus::Access;
-    if (victim->kernelOpens > 0 || !victim->bypassdOpeners.empty())
+    if (victim->isOpen())
         return FsStatus::Busy;
 
     noteMetadataOp();
@@ -402,7 +402,7 @@ Ext4Fs::rename(const std::string &from, const std::string &to,
         victim = inode(vit->second);
         if (victim->isDir())
             return FsStatus::IsDir;
-        if (victim->kernelOpens > 0 || !victim->bypassdOpeners.empty())
+        if (victim->isOpen())
             return FsStatus::Busy;
     }
 

@@ -2,9 +2,8 @@
  * @file
  * In-memory inode. BypassD keeps file-table state hanging off the cached
  * VFS inode (Section 4.1): the shared FTE frames live as long as the inode
- * stays cached, and the inode tracks which processes hold the file open
- * through which interface so the kernel can apply the sharing policy of
- * Section 4.5.2.
+ * stays cached, and the inode counts the opens through each interface
+ * so the kernel can apply the sharing policy of Section 4.5.2.
  */
 
 #ifndef BPD_FS_INODE_HPP
@@ -13,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "common/types.hpp"
@@ -61,9 +59,11 @@ class Inode
     ///@{
     int kernelOpens = 0;               //!< opens via the kernel interface
     int bypassdOpens = 0;              //!< opens with BypassD intent
-    std::set<Pid> bypassdOpeners;      //!< processes with direct access
     Pid lastMetadataWriter = 0;        //!< for multi-writer detection
     bool metadataMultiWriter = false;  //!< two+ processes changed metadata
+
+    /** Open through either interface (unlink/rename answer Busy). */
+    bool isOpen() const { return kernelOpens > 0 || bypassdOpens > 0; }
     ///@}
 
     /**

@@ -35,6 +35,15 @@ class PageCache
 
     explicit PageCache(std::uint64_t capacityBytes);
 
+    /** A file page's key: its inode and page index. */
+    using Key = std::uint64_t;
+
+    static Key
+    key(InodeNum ino, std::uint64_t index)
+    {
+        return (ino << 40) ^ index;
+    }
+
     /** Look up a cached page; refreshes LRU position. */
     Page *find(InodeNum ino, std::uint64_t index);
 
@@ -72,14 +81,6 @@ class PageCache
     TenantId curTenant() const
     {
         return activeTenant_ ? *activeTenant_ : kSystemTenant;
-    }
-
-    using Key = std::uint64_t;
-
-    static Key
-    key(InodeNum ino, std::uint64_t index)
-    {
-        return (ino << 40) ^ index;
     }
 
     std::uint64_t capacityPages_;

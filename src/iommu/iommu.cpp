@@ -10,7 +10,6 @@ namespace bpd::iommu {
 
 Iommu::Iommu(sim::EventQueue &eq, IommuProfile profile)
     : eq_(eq), profile_(profile),
-      iotlb_(profile.iotlbEntries, profile.iotlbWays),
       walkCache_(profile.walkCacheEntries, profile.walkCacheWays)
 {
 }
@@ -21,12 +20,6 @@ Iommu::wcKey(Pasid pasid, Vaddr va)
     // One walk-cache entry per 2 MiB region per PASID (caches the upper
     // three levels of the walk; the leaf line is never cached, Sec. 4.3).
     return (static_cast<std::uint64_t>(pasid) << 44) ^ (va >> 21);
-}
-
-std::uint64_t
-Iommu::dmaKey(Pasid pasid, std::uint64_t iova)
-{
-    return (static_cast<std::uint64_t>(pasid) << 44) ^ (iova >> 12);
 }
 
 void
@@ -194,11 +187,10 @@ Iommu::invalidateAll(Pasid pasid)
         trace_->instant(obsTrack_, "iommu.invalidate_all", 0,
                         {{"pasid", static_cast<std::int64_t>(pasid)}});
     }
-    // Conservative: the key mixes PASID non-invertibly, so flush both
-    // caches for correctness on PASID teardown.
+    // Conservative: the key mixes PASID non-invertibly, so flush the
+    // whole cache for correctness on PASID teardown.
     (void)pasid;
     walkCache_.clear();
-    iotlb_.clear();
 }
 
 std::vector<Iommu::DmaMapping>::iterator
@@ -227,7 +219,6 @@ Iommu::unmapDma(Pasid pasid, std::uint64_t iova)
     auto it = dmaAfter(pasid, iova);
     if (it != dma_.begin() && it[-1].pasid == pasid && it[-1].iova == iova)
         dma_.erase(it - 1);
-    iotlb_.invalidate(dmaKey(pasid, iova));
 }
 
 std::optional<std::span<std::uint8_t>>
@@ -246,16 +237,6 @@ Iommu::resolveDma(Pasid pasid, std::uint64_t iova, std::uint32_t len,
     if (deviceWrites && !m.writable)
         return std::nullopt;
     return m.mem.subspan(offset, len);
-}
-
-Time
-Iommu::dmaTranslateLatency(Pasid pasid, std::uint64_t iova)
-{
-    std::uint64_t dummy;
-    if (iotlb_.lookup(dmaKey(pasid, iova), dummy))
-        return profile_.lookupNs;
-    iotlb_.insert(dmaKey(pasid, iova), 1);
-    return profile_.lookupNs + profile_.leafFetchNs;
 }
 
 } // namespace bpd::iommu

@@ -40,12 +40,10 @@ namespace bpd::iommu {
 struct IommuProfile
 {
     Time pcieRoundTripNs = 345;   //!< ATS request + response transit
-    Time lookupNs = 15;           //!< IOTLB / walk-cache lookup
+    Time lookupNs = 15;           //!< walk-cache lookup
     Time leafFetchNs = 183;       //!< first page-table cacheline fetch
     Time extraLineNs = 12;        //!< each additional leaf cacheline
     Time upperLevelFetchNs = 120; //!< per level on walk-cache miss
-    unsigned iotlbEntries = 256;
-    unsigned iotlbWays = 4;
     unsigned walkCacheEntries = 2048;
     unsigned walkCacheWays = 4;
     /**
@@ -153,9 +151,6 @@ class Iommu
     std::optional<std::span<std::uint8_t>>
     resolveDma(Pasid pasid, std::uint64_t iova, std::uint32_t len,
                bool deviceWrites);
-
-    /** Modeled latency for one DMA IOVA translation (Table 4 model). */
-    Time dmaTranslateLatency(Pasid pasid, std::uint64_t iova);
     ///@}
 
     /** @name Statistics */
@@ -163,7 +158,6 @@ class Iommu
     std::uint64_t vbaTranslations() const { return vbaTranslations_; }
     std::uint64_t vbaFaults() const { return vbaFaults_; }
     std::uint64_t framesRead() const { return framesRead_; }
-    const TranslationCache &iotlb() const { return iotlb_; }
     const TranslationCache &walkCache() const { return walkCache_; }
     ///@}
 
@@ -175,15 +169,14 @@ class Iommu
 
     /**
      * Attach the per-tenant counter table (null = disabled). The
-     * translating PASID is the tenant. IOTLB/walk-cache hit counters
-     * stay system-only on purpose: the caches are shared, so a hit
-     * caused by one tenant's fill serving another has no honest owner.
+     * translating PASID is the tenant. Walk-cache hit counters stay
+     * system-only on purpose: the cache is shared, so a hit caused by
+     * one tenant's fill serving another has no honest owner.
      */
     void setTenantAccounting(obs::TenantAccounting *a) { acct_ = a; }
 
   private:
     static std::uint64_t wcKey(Pasid pasid, Vaddr va);
-    static std::uint64_t dmaKey(Pasid pasid, std::uint64_t iova);
 
     sim::EventQueue &eq_;
     IommuProfile profile_;
@@ -205,7 +198,6 @@ class Iommu
     std::vector<DmaMapping>::iterator dmaAfter(Pasid pasid,
                                                std::uint64_t iova);
 
-    TranslationCache iotlb_;
     TranslationCache walkCache_;
 
     obs::Tracer *trace_ = nullptr;

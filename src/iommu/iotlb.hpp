@@ -1,9 +1,9 @@
 /**
  * @file
- * Generic set-associative LRU translation cache used both as the IOTLB
- * (IOVA data-buffer translations) and as the IOMMU page-walk cache (upper
- * page-table levels). Per Section 4.3 FTEs themselves are NOT cached in the
- * IOTLB; only intermediate levels benefit from caching.
+ * Generic set-associative LRU translation cache: the IOMMU page-walk
+ * cache (upper page-table levels) and the Table 4 bench's IOTLB (DMA
+ * IOVA translations). Per Section 4.3 FTEs themselves are NOT cached;
+ * only intermediate levels benefit from caching.
  */
 
 #ifndef BPD_IOMMU_IOTLB_HPP

@@ -40,12 +40,11 @@ Kernel::Kernel(sim::EventQueue &eq, mem::FrameAllocator &fa,
     : eq_(eq), fa_(fa), iommu_(iommu), vfs_(vfs), dev_(dev), costs_(costs),
       cpu_(cfg.hwThreads), pageCache_(cfg.pageCacheBytes)
 {
-    kernelQp_ = dev_.createQueuePair(kNoPasid, cfg.kernelQueueDepth,
-                                     /*vbaMode=*/false);
-    sim::panicIf(kernelQp_ == nullptr, "kernel queue creation failed");
-    kq_ = std::make_unique<ssd::CommandDispatcher>(*kernelQp_);
+    ssd::QueuePair *qp = dev_.createQueuePair(
+        kNoPasid, cfg.kernelQueueDepth, /*vbaMode=*/false);
+    sim::panicIf(qp == nullptr, "kernel queue creation failed");
     kernelQueueDepth_ = cfg.kernelQueueDepth;
-    slots_.push_back(Slot{&dev_, &iommu_, 0, kq_.get()});
+    slots_.push_back(Slot{&dev_, &iommu_, 0, qp});
 }
 
 void
@@ -62,8 +61,7 @@ Kernel::attachSlot(ssd::NvmeDevice &dev, iommu::Iommu &iommu,
         = dev.createQueuePair(kNoPasid, kernelQueueDepth_,
                               /*vbaMode=*/false);
     sim::panicIf(qp == nullptr, "kernel slot queue creation failed");
-    slotQueues_.push_back(std::make_unique<ssd::CommandDispatcher>(*qp));
-    slots_.push_back(Slot{&dev, &iommu, base, slotQueues_.back().get()});
+    slots_.push_back(Slot{&dev, &iommu, base, qp});
     // Bind every live process into the new slot's IOMMU in pid order —
     // hot-plug rebuilds mappings deterministically.
     std::vector<Pid> pids;
@@ -185,7 +183,7 @@ Kernel::deviceIo(ssd::Op op, std::vector<fs::Seg> segs,
             cmd.trace = id.trace;
             cmd.tenant = id.tenant;
             off += seg.len;
-            const bool ok = slot.kq->submit(cmd, [this, agg](
+            const bool ok = slot.qp->submit(cmd, [this, agg](
                                                  const ssd::Completion &c) {
                 if (c.status != ssd::Status::Success)
                     agg->worst = c.status;
@@ -255,8 +253,7 @@ Kernel::sysClose(Process &p, int fd, IntCb cb)
             int &opens = (of->flags & kOpenBypassdIntent)
                              ? node->bypassdOpens
                              : node->kernelOpens;
-            if (opens > 0 && --opens == 0 && node->bypassdOpens == 0
-                && node->kernelOpens == 0 && hooks_)
+            if (opens > 0 && --opens == 0 && !node->isOpen() && hooks_)
                 hooks_->onLastClose(*node);
         }
         p.removeFd(fd);
@@ -599,7 +596,7 @@ Kernel::bufferedRead(fs::Inode &ino, std::span<std::uint8_t> buf,
                 std::memcpy(page->data.data(), scratch->data(),
                             kBlockBytes);
                 if (evicted)
-                    writebackVictim(ino, std::move(evicted));
+                    writebackPage(std::move(evicted), [](ssd::Status) {});
                 if (--fetch->remaining == 0)
                     fetch->complete();
             };
@@ -672,7 +669,7 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
             fs::PageCache::Page *page
                 = pageCache_.insert(ino.ino, pg, &evicted);
             if (evicted)
-                writebackVictim(ino, std::move(evicted));
+                writebackPage(std::move(evicted), [](ssd::Status) {});
             std::memcpy(page->data.data() + pgOff, buf.data() + done,
                         chunk);
             page->dirty = true;
@@ -686,49 +683,68 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
 }
 
 void
-Kernel::writebackVictim(fs::Inode &ino,
-                        std::unique_ptr<fs::PageCache::Page> victim)
+Kernel::writebackPage(std::unique_ptr<fs::PageCache::Page> page,
+                      WritebackDone done)
 {
-    std::vector<fs::Seg> segs;
-    if (vfs_.fs().mapRange(ino, victim->index * kBlockBytes, kBlockBytes,
-                           &segs)
-        != fs::FsStatus::Ok)
+    auto [it, idle] = writebacks_.try_emplace(
+        fs::PageCache::key(page->ino, page->index));
+    Writeback &wb = it->second;
+    if (idle) {
+        wb.ino = page->ino;
+        wb.done = std::move(done);
+        startWriteback(std::move(page));
         return;
-    const IoIdentity id{0, victim->tenant};
-    const std::span<std::uint8_t> data(victim->data.data(), kBlockBytes);
-    // The completion owns the page, so its data outlives the write.
-    deviceIo(ssd::Op::Write, std::move(segs), data,
-             [victim = std::move(victim)](ssd::Status, Time) {}, id);
+    }
+    // A write of this page is in flight: these bytes go out when it
+    // lands, in place of any older ones still waiting.
+    if (wb.next) {
+        wb.nextDone = [older = std::move(wb.nextDone),
+                       newer = std::move(done)](ssd::Status st) mutable {
+            older(st);
+            newer(st);
+        };
+    } else {
+        wb.nextDone = std::move(done);
+    }
+    wb.next = std::move(page);
 }
 
 void
-Kernel::writebackDirty(fs::Inode &ino, std::function<void(Time)> done)
+Kernel::startWriteback(std::unique_ptr<fs::PageCache::Page> page)
 {
-    auto dirty = pageCache_.collectDirty(ino.ino);
-    if (dirty.empty()) {
-        done(0);
+    const fs::PageCache::Key key = fs::PageCache::key(page->ino, page->index);
+    fs::Inode *ino = vfs_.fs().inode(page->ino);
+    std::vector<fs::Seg> segs;
+    if (!ino
+        || vfs_.fs().mapRange(*ino, page->index * kBlockBytes, kBlockBytes,
+                              &segs)
+               != fs::FsStatus::Ok) {
+        finishWriteback(key, ssd::Status::Success);
         return;
     }
-    const Time start = eq_.now();
-    auto remaining = std::make_shared<std::size_t>(dirty.size());
-    for (fs::PageCache::Page *page : dirty) {
-        std::vector<fs::Seg> segs;
-        fs::FsStatus st = vfs_.fs().mapRange(
-            ino, page->index * kBlockBytes, kBlockBytes, &segs);
-        if (st != fs::FsStatus::Ok) {
-            if (--*remaining == 0)
-                done(eq_.now() - start);
-            continue;
-        }
-        // Each page is billed to the tenant that last touched it.
-        deviceIo(ssd::Op::Write, std::move(segs),
-                 std::span<std::uint8_t>(page->data.data(), kBlockBytes),
-                 [this, remaining, start, done](ssd::Status, Time) {
-                     if (--*remaining == 0)
-                         done(eq_.now() - start);
-                 },
-                 IoIdentity{0, page->tenant});
+    const IoIdentity id{0, page->tenant};
+    const std::span<std::uint8_t> data(page->data.data(), kBlockBytes);
+    deviceIo(ssd::Op::Write, std::move(segs), data,
+             [this, key, page = std::move(page)](ssd::Status st, Time) {
+                 finishWriteback(key, st);
+             },
+             id);
+}
+
+void
+Kernel::finishWriteback(fs::PageCache::Key key, ssd::Status st)
+{
+    auto it = writebacks_.find(key);
+    sim::panicIf(it == writebacks_.end(), "page write landed untracked");
+    Writeback &wb = it->second;
+    WritebackDone done = std::move(wb.done);
+    if (wb.next) {
+        wb.done = std::move(wb.nextDone);
+        startWriteback(std::move(wb.next));
+    } else {
+        writebacks_.erase(it);
     }
+    done(st);
 }
 
 void
@@ -747,22 +763,65 @@ Kernel::sysFsync(Process &p, int fd, IntCb cb)
     const Time cost
         = cpu_.scaled(costs_.userToKernelNs + costs_.fsyncMetaNs);
     eq_.after(cost, [this, node, tenant, cb = std::move(cb)]() mutable {
-        writebackDirty(*node, [this, node, tenant,
-                               cb = std::move(cb)](Time) {
-            // NVMe flush, then metadata commit.
+        // NVMe flush of the file's home slot once its dirty pages and
+        // its page writes already in flight have landed, then metadata
+        // commit. fsync fails with the worst status among those writes
+        // and the flush.
+        struct Sync
+        {
+            std::size_t remaining = 1; //!< page writes + this issue loop
+            ssd::Status worst = ssd::Status::Success;
+            IntCb cb;
+        };
+        auto sync = std::make_shared<Sync>();
+        sync->cb = std::move(cb);
+        auto flush = [this, node, tenant, sync]() {
             ssd::Command cmd;
             cmd.op = ssd::Op::Flush;
             cmd.tenant = tenant;
-            const bool ok = kq_->submit(
-                cmd, [this, node, tenant, cb = std::move(cb)](
-                         const ssd::Completion &) {
+            const bool ok = slots_[homeSlotOf(*node)].qp->submit(
+                cmd, [this, node, tenant, sync](const ssd::Completion &c) {
                     TenantScope ts(*this, tenant);
                     vfs_.fs().fsyncMeta(*node);
+                    if (c.status != ssd::Status::Success)
+                        sync->worst = c.status;
+                    const int rc = sync->worst == ssd::Status::Success
+                                       ? 0
+                                       : devErr(sync->worst);
                     eq_.after(cpu_.scaled(costs_.kernelToUserNs),
-                              [cb = std::move(cb)]() { cb(0); });
+                              [sync, rc]() { sync->cb(rc); });
                 });
             sim::panicIf(!ok, "kernel queue overflow on flush");
-        });
+        };
+        auto join = [sync, flush](ssd::Status st) {
+            if (st != ssd::Status::Success)
+                sync->worst = st;
+            if (--sync->remaining == 0)
+                flush();
+        };
+        // Join the writes of the file's pages already in flight (an
+        // eviction's, another fsync's): the newest bytes of each page.
+        for (auto &entry : writebacks_) {
+            Writeback &wb = entry.second;
+            if (wb.ino != node->ino)
+                continue;
+            sync->remaining++;
+            WritebackDone &last = wb.next ? wb.nextDone : wb.done;
+            last = [first = std::move(last), join](ssd::Status st) mutable {
+                first(st);
+                join(st);
+            };
+        }
+        // Each write gets a copy of its page: the cached page may be
+        // rewritten or evicted (and freed) while the write waits.
+        for (fs::PageCache::Page *page :
+             pageCache_.collectDirty(node->ino)) {
+            sync->remaining++;
+            writebackPage(std::make_unique<fs::PageCache::Page>(*page),
+                          join);
+        }
+        if (--sync->remaining == 0)
+            flush();
     });
 }
 

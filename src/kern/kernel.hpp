@@ -38,7 +38,6 @@
 #include "obs/tenant.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
-#include "ssd/dispatcher.hpp"
 #include "ssd/nvme.hpp"
 
 namespace bpd::qos {
@@ -193,10 +192,10 @@ class Kernel
 
     /** @name Device slots (multi-device volume)
      * The constructor's device is slot 0 at volume base 0. Each
-     * attachSlot() call adds the next slot: a kernel queue pair +
-     * dispatcher on that device, PASID bindings in its IOMMU for every
-     * live process (bound in pid order — deterministic), and a volume
-     * base that deviceIo() routes by. Slot bases must be uniform
+     * attachSlot() call adds the next slot: a kernel queue pair on
+     * that device, PASID bindings in its IOMMU for every live process
+     * (bound in pid order — deterministic), and a volume base that
+     * deviceIo() routes by. Slot bases must be uniform
      * multiples of the first attached base (the slot size). With one
      * slot everything reduces exactly to the classic single-device
      * kernel.
@@ -213,6 +212,24 @@ class Kernel
     std::size_t slotOf(DevAddr addr) const
     {
         return slotBytes_ == 0 ? 0 : addr / slotBytes_;
+    }
+    /**
+     * Multi-device placement hook: returns the home device slot of an
+     * inode, where its fsync flushes and its BypassD file tables live.
+     * Must agree with the file system's block placement (System wires
+     * both from one DeviceMap). Null (default) takes the slot of the
+     * first extent, since placement keeps a file on one slot, and
+     * slot 0 for a file with none: single-device volumes always get 0.
+     */
+    using HomeSlotFn = std::function<std::size_t(const fs::Inode &)>;
+    void setHomeSlot(HomeSlotFn fn) { homeSlot_ = std::move(fn); }
+    /** Home device slot of @p ino (see setHomeSlot). */
+    std::size_t homeSlotOf(const fs::Inode &ino) const
+    {
+        if (homeSlot_)
+            return homeSlot_(ino);
+        const auto &exts = ino.extents.extents();
+        return exts.empty() ? 0 : slotOf(exts.front().pblk * kBlockBytes);
     }
     ///@}
 
@@ -292,11 +309,27 @@ class Kernel
     void exitDirect(fs::Inode &ino, bool write, Pid pid, Time start,
                     std::uint64_t n, ssd::Status dst, Time devNs,
                     Request req);
-    void writebackDirty(fs::Inode &ino, std::function<void(Time)> done);
-    /** Write @p victim, a dirty page the page cache evicted, back
-     *  through @p ino's mapping, billed to its last tenant. */
-    void writebackVictim(fs::Inode &ino,
-                         std::unique_ptr<fs::PageCache::Page> victim);
+    /** Gets the status of the write that carried a page's bytes. */
+    using WritebackDone
+        = sim::InlineFunction<void(ssd::Status),
+                              sim::kEventCallbackInlineBytes>;
+    /**
+     * Write @p page back through its own inode's mapping, billed to the
+     * tenant that last touched it: an evicted dirty page, or fsync's
+     * copy of one. The write's completion owns the page, so the bytes
+     * outlive the write however long it waits (a QoS park, a full SQ).
+     * As with Linux's PG_writeback, one write per page is in flight: a
+     * later writeback of the page waits for it, so older bytes never
+     * land over newer ones, and newer bytes replace those still
+     * waiting, whose @p done then gets the newer write's status. A
+     * page whose inode or mapping is gone counts as written.
+     */
+    void writebackPage(std::unique_ptr<fs::PageCache::Page> page,
+                       WritebackDone done);
+    /** Issue @p page's write; its writebacks_ entry exists. */
+    void startWriteback(std::unique_ptr<fs::PageCache::Page> page);
+    /** The write in flight for @p key landed with @p st. */
+    void finishWriteback(fs::PageCache::Key key, ssd::Status st);
 
     /** syscalls_++ plus per-tenant attribution (same site). */
     void noteSyscall(const Process &p)
@@ -314,21 +347,29 @@ class Kernel
     CostModel costs_;
     CpuModel cpu_;
     fs::PageCache pageCache_;
+    /** A page's write in flight, and the newest bytes waiting for it. */
+    struct Writeback
+    {
+        InodeNum ino = 0; //!< the page's file, for fsync's join
+        WritebackDone done; //!< for the write in flight
+        std::unique_ptr<fs::PageCache::Page> next;
+        WritebackDone nextDone; //!< for next; empty without it
+    };
+    /** Page writes in flight, one per page (see writebackPage). */
+    std::unordered_map<fs::PageCache::Key, Writeback> writebacks_;
     BypassdHooks *hooks_ = nullptr;
 
-    ssd::QueuePair *kernelQp_ = nullptr;
-    std::unique_ptr<ssd::CommandDispatcher> kq_;
-
-    /** One kernel-side view per device slot; slots_[0] aliases kq_. */
+    /** One kernel-side view per device slot: its device, IOMMU,
+     *  volume base and the kernel's queue pair on that device. */
     struct Slot
     {
         ssd::NvmeDevice *dev;
         iommu::Iommu *iommu;
         std::uint64_t base;
-        ssd::CommandDispatcher *kq;
+        ssd::QueuePair *qp;
     };
     std::vector<Slot> slots_;
-    std::vector<std::unique_ptr<ssd::CommandDispatcher>> slotQueues_;
+    HomeSlotFn homeSlot_;
     std::uint64_t slotBytes_ = 0; //!< 0 until a second slot attaches
     std::uint32_t kernelQueueDepth_;
 

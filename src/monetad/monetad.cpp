@@ -11,10 +11,8 @@ MonetadEngine::MonetadEngine(kern::Kernel &k, MonetadConfig cfg)
 
 MonetadEngine::~MonetadEngine()
 {
-    for (auto &[tid, tc] : threads_) {
-        if (tc.qp)
-            k_.device().destroyQueuePair(tc.qp->qid());
-    }
+    for (auto &[tid, qp] : queues_)
+        k_.device().destroyQueuePair(qp->qid());
 }
 
 std::uint64_t
@@ -23,19 +21,18 @@ MonetadEngine::key(Pasid pasid, BlockNo extStart)
     return (static_cast<std::uint64_t>(pasid) << 40) ^ extStart;
 }
 
-MonetadEngine::ThreadCtx &
-MonetadEngine::ctx(Tid tid, kern::Process &p)
+ssd::QueuePair &
+MonetadEngine::queue(Tid tid, kern::Process &p)
 {
-    ThreadCtx &tc = threads_[tid];
-    if (!tc.qp) {
+    ssd::QueuePair *&qp = queues_[tid];
+    if (!qp) {
         // Moneta-D hardware accepts raw block addresses from userspace
         // and checks them itself: a non-VBA queue models its channel.
-        tc.qp = k_.device().createQueuePair(p.pasid(), 256,
-                                            /*vbaMode=*/false);
-        sim::panicIf(tc.qp == nullptr, "monetad channel failed");
-        tc.disp = std::make_unique<ssd::CommandDispatcher>(*tc.qp);
+        qp = k_.device().createQueuePair(p.pasid(), 256,
+                                         /*vbaMode=*/false);
+        sim::panicIf(qp == nullptr, "monetad channel failed");
     }
-    return tc;
+    return *qp;
 }
 
 void
@@ -170,7 +167,7 @@ MonetadEngine::doIo(Tid tid, kern::Process &p, fs::Inode &ino, ssd::Op op,
     }
     k_.eq().after(preCost, [this, tid, &p, segs, buf, n, start,
                             op, cb = std::move(cb)]() {
-        ThreadCtx &tc = ctx(tid, p);
+        ssd::QueuePair &qp = queue(tid, p);
         auto remaining = std::make_shared<std::size_t>(segs.size());
         auto worst = std::make_shared<ssd::Status>(ssd::Status::Success);
         std::uint64_t soff = 0;
@@ -182,7 +179,7 @@ MonetadEngine::doIo(Tid tid, kern::Process &p, fs::Inode &ino, ssd::Op op,
             cmd.len = static_cast<std::uint32_t>(seg.len);
             cmd.hostBuf = buf.subspan(soff, seg.len);
             soff += seg.len;
-            const bool ok = tc.disp->submit(
+            const bool ok = qp.submit(
                 cmd, [this, remaining, worst, n, start,
                       cb](const ssd::Completion &comp) {
                     if (comp.status != ssd::Status::Success)

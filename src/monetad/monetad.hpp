@@ -25,7 +25,6 @@
 #include <unordered_map>
 
 #include "kern/kernel.hpp"
-#include "ssd/dispatcher.hpp"
 
 namespace bpd::monetad {
 
@@ -96,12 +95,8 @@ class MonetadEngine
               std::span<std::uint8_t> buf, std::uint64_t off,
               bool afterMiss, kern::IoCb cb);
 
-    struct ThreadCtx
-    {
-        ssd::QueuePair *qp = nullptr;
-        std::unique_ptr<ssd::CommandDispatcher> disp;
-    };
-    ThreadCtx &ctx(Tid tid, kern::Process &p);
+    /** Thread @p tid's channel, created on its first I/O. */
+    ssd::QueuePair &queue(Tid tid, kern::Process &p);
 
     kern::Kernel &k_;
     MonetadConfig cfg_;
@@ -112,7 +107,7 @@ class MonetadEngine
 
     Time serviceStalledUntil_ = 0;
 
-    std::map<Tid, ThreadCtx> threads_;
+    std::map<Tid, ssd::QueuePair *> queues_;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -106,8 +106,6 @@ forEachConfigField(sys::SystemConfig &c, F &&f)
     f("iommu_leaf_fetch_ns", c.iommu.leafFetchNs);
     f("iommu_extra_line_ns", c.iommu.extraLineNs);
     f("iommu_upper_level_fetch_ns", c.iommu.upperLevelFetchNs);
-    f("iommu_iotlb_entries", c.iommu.iotlbEntries);
-    f("iommu_iotlb_ways", c.iommu.iotlbWays);
     f("iommu_walk_cache_entries", c.iommu.walkCacheEntries);
     f("iommu_walk_cache_ways", c.iommu.walkCacheWays);
     f("iommu_fixed_vba_latency_ns", c.iommu.fixedVbaLatencyNs);

@@ -34,10 +34,10 @@ SpdkDriver::shutdown()
     if (!initialized_)
         return;
     if (pendingIos_ > 0) {
-        // Completions are still in flight. Destroying queue pairs and
-        // dispatchers now would let device callbacks fire into freed
-        // state, and releasing the claim would re-enable other users
-        // while our DMA is outstanding. Drain first.
+        // Completions are still in flight. Destroying queue pairs now
+        // would let device callbacks fire into freed state, and
+        // releasing the claim would re-enable other users while our
+        // DMA is outstanding. Drain first.
         if (!draining_) {
             draining_ = true;
             scheduleDrainPoll();
@@ -67,26 +67,23 @@ SpdkDriver::teardown()
     if (!initialized_)
         return;
     sim::panicIf(pendingIos_ > 0, "SPDK teardown with I/O in flight");
-    for (auto &[tid, tc] : threads_) {
-        if (tc.qp)
-            dev_.destroyQueuePair(tc.qp->qid());
-    }
-    threads_.clear();
+    for (auto &[tid, qp] : queues_)
+        dev_.destroyQueuePair(qp->qid());
+    queues_.clear();
     dev_.releaseExclusive(owner_);
     draining_ = false;
     initialized_ = false;
 }
 
-SpdkDriver::ThreadCtx &
-SpdkDriver::ctx(Tid tid)
+ssd::QueuePair &
+SpdkDriver::queue(Tid tid)
 {
-    ThreadCtx &tc = threads_[tid];
-    if (!tc.qp) {
-        tc.qp = dev_.createQueuePair(owner_, 1024, /*vbaMode=*/false);
-        sim::panicIf(tc.qp == nullptr, "SPDK queue creation failed");
-        tc.disp = std::make_unique<ssd::CommandDispatcher>(*tc.qp);
+    ssd::QueuePair *&qp = queues_[tid];
+    if (!qp) {
+        qp = dev_.createQueuePair(owner_, 1024, /*vbaMode=*/false);
+        sim::panicIf(qp == nullptr, "SPDK queue creation failed");
     }
-    return tc;
+    return *qp;
 }
 
 void
@@ -131,7 +128,6 @@ SpdkDriver::doIo(Tid tid, ssd::Op op, DevAddr addr,
         const Time submitCost = cpu_.scaled(costs_.submitNs);
         eq_.after(submitCost, [this, tid, op, addr, buf, start,
                                req = std::move(req)]() mutable {
-            ThreadCtx &tc = ctx(tid);
             ssd::Command cmd;
             cmd.op = op;
             cmd.addr = addr;
@@ -140,7 +136,7 @@ SpdkDriver::doIo(Tid tid, ssd::Op op, DevAddr addr,
             cmd.hostBuf = buf; // zero-copy: DMA straight into the caller
             cmd.trace = req.trace();
             const Time tSubmit = eq_.now();
-            const bool ok = tc.disp->submit(
+            const bool ok = queue(tid).submit(
                 cmd, [this, bytes = buf.size(), start, tSubmit,
                       req = std::move(req)](
                          const ssd::Completion &comp) mutable {

@@ -21,7 +21,6 @@
 #include "kern/cpu_model.hpp"
 #include "kern/kernel.hpp"
 #include "sim/event_queue.hpp"
-#include "ssd/dispatcher.hpp"
 #include "ssd/nvme.hpp"
 
 namespace bpd::spdk {
@@ -49,11 +48,11 @@ class SpdkDriver
 
     /**
      * Release the claim and re-enable other users. With I/O still in
-     * flight the release is deferred: queue pairs and dispatchers
-     * must outlive their completions, and the exclusive claim must
-     * hold while DMA is outstanding, so teardown polls until the last
-     * completion reaps and only then destroys queues and releases the
-     * device. initialized() stays true until that happens.
+     * flight the release is deferred: queue pairs must outlive their
+     * completions, and the exclusive claim must hold while DMA is
+     * outstanding, so teardown polls until the last completion reaps
+     * and only then destroys queues and releases the device.
+     * initialized() stays true until that happens.
      */
     void shutdown();
 
@@ -77,13 +76,8 @@ class SpdkDriver
                kern::IoCb cb);
 
   private:
-    struct ThreadCtx
-    {
-        ssd::QueuePair *qp = nullptr;
-        std::unique_ptr<ssd::CommandDispatcher> disp;
-    };
-
-    ThreadCtx &ctx(Tid tid);
+    /** The queue pair of thread @p tid, created on its first I/O. */
+    ssd::QueuePair &queue(Tid tid);
     void doIo(Tid tid, ssd::Op op, DevAddr addr,
               std::span<std::uint8_t> buf, kern::IoCb cb);
     void scheduleDrainPoll();
@@ -99,7 +93,7 @@ class SpdkDriver
     std::uint64_t pendingIos_ = 0; //!< submitted, not yet reaped
     /** Cancels queued drain polls if the driver is destroyed first. */
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-    std::map<Tid, ThreadCtx> threads_;
+    std::map<Tid, ssd::QueuePair *> queues_;
 };
 
 } // namespace bpd::spdk

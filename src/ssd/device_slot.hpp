@@ -3,7 +3,7 @@
  * One device of a multi-device fleet.
  *
  * A DeviceSlot bundles everything a single SSD brings to the machine:
- * the NVMe device model (queues + dispatcher timing), its extent-backed
+ * the NVMe device model (queues + dispatch timing), its extent-backed
  * block store, and a per-device IOMMU context. Queue PASID bindings, DMA
  * registrations, and VBA translations are per-device state on real
  * hardware, so each slot gets its own Iommu instance; the kernel binds a

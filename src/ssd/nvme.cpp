@@ -34,36 +34,29 @@ QueuePair::QueuePair(NvmeDevice &dev, std::uint16_t qid, Pasid pasid,
 }
 
 bool
-QueuePair::submit(const Command &cmd)
+QueuePair::submit(Command cmd, CompletionFn &&fn)
 {
-    if (sq_.size() + inflight_ >= depth_)
+    if (outstanding() >= depth_)
         return false;
-    Command c = cmd;
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    slots_[slot] = std::move(fn);
+    cmd.cid = slot;
     if (dev_.trace_)
-        c.enq = dev_.eq_.now();
+        cmd.enq = dev_.eq_.now();
     // The command waits in the SQ for many host events before dispatch
     // translates it; start loading its leaf FTE line now (host-only).
-    if (c.addrIsVba)
-        dev_.iommu_.prefetchVba(pasid_, c.addr);
-    sq_.push_back(c);
+    if (cmd.addrIsVba)
+        dev_.iommu_.prefetchVba(pasid_, cmd.addr);
+    sq_.push_back(cmd);
     dev_.ring(qid_);
     return true;
-}
-
-std::optional<Completion>
-QueuePair::pollCq()
-{
-    if (cq_.empty())
-        return std::nullopt;
-    Completion c = cq_.front();
-    cq_.pop_front();
-    return c;
-}
-
-void
-QueuePair::setCompletionHook(std::function<void(const Completion &)> hook)
-{
-    hook_ = std::move(hook);
 }
 
 NvmeDevice::NvmeDevice(sim::EventQueue &eq, BlockStore &store,
@@ -238,10 +231,13 @@ NvmeDevice::finish(QueuePair &qp, Completion comp)
     }
     qp.inflight_--;
     qp.completedOps_++;
-    if (qp.hook_)
-        qp.hook_(comp);
-    else
-        qp.cq_.push_back(comp);
+    sim::panicIf(comp.cid >= qp.slots_.size() || !qp.slots_[comp.cid],
+                 "completion for unknown command id");
+    // Take the callback out and free its slot before it runs: it may
+    // submit, and a submit may grow (and so move) the slot table.
+    CompletionFn fn = std::move(qp.slots_[comp.cid]);
+    qp.freeSlots_.push_back(static_cast<std::uint32_t>(comp.cid));
+    fn(comp);
     // Occupancy changed; more SQ entries may now be admissible.
     tryDispatch();
 }

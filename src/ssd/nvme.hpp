@@ -31,6 +31,7 @@
 #include "iommu/iommu.hpp"
 #include "obs/tenant.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/random.hpp"
 #include "sim/ring.hpp"
 #include "ssd/block_store.hpp"
@@ -99,7 +100,7 @@ Status statusFromFault(iommu::Fault f);
 struct Command
 {
     Op op = Op::Read;
-    std::uint64_t cid = 0;    //!< caller-chosen command id
+    std::uint64_t cid = 0;    //!< slot index, set by QueuePair::submit
     std::uint64_t addr = 0;   //!< device byte address (LBA*512) or VBA
     bool addrIsVba = false;   //!< interpret addr as a VBA (BypassD)
     std::uint32_t len = 0;    //!< bytes; sector (512 B) granularity
@@ -137,10 +138,22 @@ struct Completion
     std::uint64_t trace = 0; //!< request trace id (observability only)
 };
 
+/**
+ * A command's completion callback. Move-only; captures up to
+ * sim::kEventCallbackInlineBytes stay in place, so a command costs no
+ * heap allocation once its queue's slot table has grown.
+ */
+using CompletionFn = sim::InlineFunction<void(const Completion &),
+                                         sim::kEventCallbackInlineBytes>;
+
 class NvmeDevice;
 
 /**
  * One SQ/CQ pair. Created by NvmeDevice; owned by it; referenced by users.
+ *
+ * The pair reaps its own completions, as a polled-mode driver does: the
+ * callback a command was submitted with runs at completion time, which
+ * models a poller noticing the CQ doorbell with zero extra delay.
  */
 class QueuePair
 {
@@ -149,22 +162,20 @@ class QueuePair
     Pasid pasid() const { return pasid_; }
 
     /**
-     * Enqueue a command and ring the doorbell.
-     * @retval false when the SQ is full (caller must retry later).
+     * Enqueue a command and ring the doorbell. @p fn runs once the
+     * command completes. The command's cid is the index of the slot
+     * that keeps @p fn: slots are reused LIFO, and the table grows to
+     * the queue's peak outstanding count, never past its depth.
+     * @retval false when the SQ is full (caller must retry later). @p fn
+     *         is then left untouched, so the caller can retry with it.
      */
-    bool submit(const Command &cmd);
+    bool submit(Command cmd, CompletionFn &&fn);
 
-    /** Pop one completion if available (pull-style polling). */
-    std::optional<Completion> pollCq();
-
-    /**
-     * Push-style completion delivery: invoked at completion time, which
-     * models a poller noticing the CQ doorbell with zero extra delay. When
-     * set, completions are not queued in the CQ.
-     */
-    void setCompletionHook(std::function<void(const Completion &)> hook);
-
-    std::uint32_t inflight() const { return inflight_; }
+    /** Commands submitted and not yet completed (SQ plus in flight). */
+    std::uint32_t outstanding() const
+    {
+        return static_cast<std::uint32_t>(sq_.size()) + inflight_;
+    }
 
     /** @name SR-IOV partition window (Section 5.2)
      * When a queue belongs to a virtual function, every device address
@@ -209,9 +220,10 @@ class QueuePair
     bool disabled_ = false;
 
     sim::Ring<Command> sq_; //!< doubles up to the queue depth
-    sim::Ring<Completion> cq_;
-    std::function<void(const Completion &)> hook_;
     std::uint32_t inflight_ = 0; //!< dispatched, not yet completed
+    /** Completion callbacks, indexed by cid; empty = slot free. */
+    std::vector<CompletionFn> slots_;
+    std::vector<std::uint32_t> freeSlots_; //!< LIFO stack of free cids
 
     Time lastWriteDone_ = 0; //!< for flush ordering
 

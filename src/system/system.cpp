@@ -50,14 +50,14 @@ System::System(SystemConfig config)
     if (devices.size() > 1) {
         // Per-inode home-device placement: the file system allocates an
         // inode's blocks inside its home slot's block range, and the
-        // BypassD module homes FTEs by the same map — one source of
-        // truth, so extents never straddle devices. Single-device
-        // systems keep the classic allocator bit-identically (null
-        // placement).
+        // kernel homes fsync flushes and BypassD FTEs by the same map —
+        // one source of truth, so extents never straddle devices.
+        // Single-device systems keep the classic allocator
+        // bit-identically (null placement).
         ext4.setPlacement([this](const fs::Inode &ino) {
             return devices.blockRange(devices.homeSlotOf(ino.ino));
         });
-        module.setHomeSlot([this](const fs::Inode &ino) {
+        kernel.setHomeSlot([this](const fs::Inode &ino) {
             return devices.homeSlotOf(ino.ino);
         });
     }
@@ -301,8 +301,8 @@ System::collectMetrics()
     // fleet slot (identical to the classic single-device values when
     // maxDevices == 1).
     publish(metrics, obs::kNoDevice, counterTotals());
-    // The IOTLB is left out: it caches DMA IOVAs, and no System path
-    // translates one (FTEs are never cached, Section 4.3).
+    // The walk cache is the IOMMU's one cache: FTEs are never cached
+    // (Section 4.3), and no System path models DMA IOVA translation.
     std::uint64_t wcHit = 0, wcMiss = 0, devMediaErrs = 0;
     for (std::size_t i = 0; i < devices.size(); i++) {
         wcHit += devices.slot(i).iommu.walkCache().hits();

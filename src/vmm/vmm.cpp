@@ -15,7 +15,6 @@ VmGuest::VmGuest(sys::System &host, DevAddr base, std::uint64_t bytes,
     qp_ = host_.dev.createVfQueuePair(pasid_, 256, /*vbaMode=*/true,
                                       base_, bytes_);
     sim::panicIf(qp_ == nullptr, "VF queue creation failed");
-    disp_ = std::make_unique<ssd::CommandDispatcher>(*qp_);
     dmaBuf_.assign(1 << 20, 0);
     host_.iommu.mapDma(pasid_, 0x9000000,
                        std::span<std::uint8_t>(dmaBuf_), true);
@@ -53,7 +52,7 @@ VmGuest::read(Vaddr vba, std::span<std::uint8_t> buf, std::uint64_t off,
     cmd.dmaIova = 0x9000000;
     cmd.useIova = true;
     const Time start = host_.eq.now();
-    const bool ok = disp_->submit(
+    const bool ok = qp_->submit(
         cmd, [this, buf, start, cb = std::move(cb)](
                  const ssd::Completion &comp) {
             kern::IoTrace tr;
@@ -82,7 +81,7 @@ VmGuest::write(Vaddr vba, std::span<const std::uint8_t> buf,
     cmd.dmaIova = 0x9000000;
     cmd.useIova = true;
     const Time start = host_.eq.now();
-    const bool ok = disp_->submit(
+    const bool ok = qp_->submit(
         cmd, [start, n = buf.size(), cb = std::move(cb)](
                  const ssd::Completion &comp) {
             kern::IoTrace tr;
@@ -97,10 +96,9 @@ VmGuest::write(Vaddr vba, std::span<const std::uint8_t> buf,
 }
 
 void
-VmGuest::submitRaw(const ssd::Command &cmd,
-                   ssd::CommandDispatcher::CompletionFn fn)
+VmGuest::submitRaw(const ssd::Command &cmd, ssd::CompletionFn fn)
 {
-    sim::panicIf(!disp_->submit(cmd, std::move(fn)),
+    sim::panicIf(!qp_->submit(cmd, std::move(fn)),
                  "VF queue overflow");
 }
 

@@ -24,7 +24,6 @@
 
 #include "kern/kernel.hpp"
 #include "mem/page_table.hpp"
-#include "ssd/dispatcher.hpp"
 #include "system/system.hpp"
 
 namespace bpd::vmm {
@@ -56,8 +55,7 @@ class VmGuest
      * Escape hatch for attack tests: submit a raw command on the VF
      * queue (a malicious guest owns its queues).
      */
-    void submitRaw(const ssd::Command &cmd,
-                   ssd::CommandDispatcher::CompletionFn fn);
+    void submitRaw(const ssd::Command &cmd, ssd::CompletionFn fn);
 
   private:
     friend class VmmManager;
@@ -74,7 +72,6 @@ class VmGuest
     Vaddr nextVba_ = 0x40000000;
 
     ssd::QueuePair *qp_ = nullptr;
-    std::unique_ptr<ssd::CommandDispatcher> disp_;
     std::vector<std::uint8_t> dmaBuf_;
 };
 

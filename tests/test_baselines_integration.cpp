@@ -70,8 +70,8 @@ TEST(Spdk, ShutdownWithQueuedIoDrainsFirst)
     ASSERT_TRUE(drv.init());
 
     // Queue I/O and call shutdown() before any of it completes.
-    // Queue pairs and dispatchers must survive until the completions
-    // reap, and the exclusive claim must hold while DMA is in flight.
+    // Queue pairs must survive until the completions reap, and the
+    // exclusive claim must hold while DMA is in flight.
     constexpr int kIos = 8;
     int completions = 0;
     std::vector<std::uint8_t> buf(4096);

@@ -562,6 +562,34 @@ TEST_F(BypassdFixture, MetadataRevocationHoldsUntilTheLastClose)
     EXPECT_TRUE(lib->isDirect(fdC));
 }
 
+TEST_F(BypassdFixture, UnlinkBusyWhileARevokedOpenerHoldsTheFile)
+{
+    // Revocation detaches A's file tables, but A still holds the file
+    // open: unlink must answer Busy until A closes, or the inode would
+    // be freed under A's fd.
+    mkFile("/f", 1 << 20, 42);
+    const int fdA = ulOpen(s, *lib, "/f", kOpenRead | kOpenDirect);
+    ASSERT_TRUE(lib->isDirect(fdA));
+    const InodeNum ino = p->file(fdA)->ino;
+    kern::Process &pB = s.newProcess();
+    const int fdB = kOpen(s, pB, "/f", kOpenRead);
+    ASSERT_GE(fdB, 0);
+    EXPECT_EQ(kClose(s, pB, fdB), 0);
+    ASSERT_TRUE(s.module.isRevoked(ino));
+
+    int rc = -12345;
+    s.kernel.sysUnlink(pB, "/f", [&](int r) { rc = r; });
+    s.run();
+    EXPECT_EQ(rc, kern::errOf(fs::FsStatus::Busy));
+    EXPECT_NE(s.ext4.inode(ino), nullptr);
+
+    EXPECT_EQ(ulClose(s, *lib, fdA), 0);
+    s.kernel.sysUnlink(pB, "/f", [&](int r) { rc = r; });
+    s.run();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(s.ext4.inode(ino), nullptr);
+}
+
 TEST_F(BypassdFixture, RevokedStateClearsWhenAllClose)
 {
     mkFile("/f", 1 << 20, 42);
@@ -599,7 +627,7 @@ TEST_F(BypassdFixture, ForgedVbaFaults)
     cmd.dmaIova = uq->dmaIova;
     cmd.useIova = true;
     ssd::Status st = ssd::Status::Success;
-    uq->dispatcher->submit(cmd, [&](const ssd::Completion &c) {
+    uq->qp->submit(cmd, [&](const ssd::Completion &c) {
         st = c.status;
     });
     s.run();
@@ -619,7 +647,7 @@ TEST_F(BypassdFixture, ForgedVbaFaults)
     // Depth-check: VBA-mode queue accepts the command; protection comes
     // from the DMA path? No: raw LBA on a user queue must be rejected.
     st = ssd::Status::Success;
-    uq->dispatcher->submit(lba, [&](const ssd::Completion &c) {
+    uq->qp->submit(lba, [&](const ssd::Completion &c) {
         st = c.status;
     });
     s.run();
@@ -672,7 +700,7 @@ TEST_F(BypassdFixture, ReadOnlyOpenCannotWriteViaForgedCommand)
     wr.dmaIova = uq->dmaIova;
     wr.useIova = true;
     ssd::Status st = ssd::Status::Success;
-    uq->dispatcher->submit(wr, [&](const ssd::Completion &c) {
+    uq->qp->submit(wr, [&](const ssd::Completion &c) {
         st = c.status;
     });
     s.run();

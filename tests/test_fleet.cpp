@@ -280,6 +280,28 @@ TEST(FleetEviction, DirectPathFteRevocationFallsBackWithEnodev)
     EXPECT_TRUE(s.deviceEvicted(1));
 }
 
+TEST(FleetEviction, FsyncOnAnEvictedSlotFailsWithEnodev)
+{
+    sys::System s(fleetConfig(2));
+    kern::Process &p = s.newProcess();
+    const std::string path
+        = fileOnDevice(s, p, s.cfg.devId + 1, "/buffered");
+    ASSERT_NE(path, "");
+    const int fd
+        = test::kOpen(s, p, path, fs::kOpenRead | fs::kOpenWrite);
+    ASSERT_GE(fd, 0);
+    const auto data = test::pattern(4096, 9);
+    ASSERT_EQ(test::kPwrite(s, p, fd, data, 0).n, 4096); // cached only
+
+    s.evictDevice(1);
+    // The dirty page's write and the flush both go to the dead home
+    // device; fsync reports that instead of claiming durability.
+    int rc = -12345;
+    s.kernel.sysFsync(p, fd, [&](int r) { rc = r; });
+    s.run();
+    EXPECT_EQ(rc, kern::errOf(fs::FsStatus::NoDev));
+}
+
 // ---------------------------------------------------------------------
 // Fabric device selector + eviction races.
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
  * Allocation-free command path, as a test: this binary replaces global
  * operator new with a counting version and asserts that steady-state
  * 4 KiB I/O performs ZERO heap allocations — from the engine call
- * through the NVMe model (dispatcher table, SQ ring, MediaJob slab) and
+ * through the NVMe model (queue slot table, SQ ring, MediaJob slab) and
  * the IOMMU walk back to the caller's callback — on the BypassD direct
  * path (read and overwrite) and the SPDK baseline. Traced, a read
  * keeps only amortized span storage: its request record borrows a

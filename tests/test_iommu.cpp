@@ -230,7 +230,7 @@ namespace {
 /** Everything a host-only prefetch must leave alone. */
 struct SimState
 {
-    std::uint64_t wcHits, wcMisses, tlbHits, tlbMisses;
+    std::uint64_t wcHits, wcMisses;
     std::uint64_t frames, translations, faults;
     std::vector<std::uint64_t> tenantRows;
 
@@ -238,7 +238,6 @@ struct SimState
     of(const Iommu &m, const obs::TenantAccounting &acct)
     {
         SimState st{m.walkCache().hits(), m.walkCache().misses(),
-                    m.iotlb().hits(),     m.iotlb().misses(),
                     m.framesRead(),       m.vbaTranslations(),
                     m.vbaFaults(),        {}};
         acct.forEachRow([&](DevId d, TenantId id,
@@ -255,7 +254,6 @@ struct SimState
     operator==(const SimState &o) const
     {
         return wcHits == o.wcHits && wcMisses == o.wcMisses
-               && tlbHits == o.tlbHits && tlbMisses == o.tlbMisses
                && frames == o.frames && translations == o.translations
                && faults == o.faults && tenantRows == o.tenantRows;
     }
@@ -418,15 +416,6 @@ TEST_F(IommuFixture, DmaUnmapRevokes)
     iommu.mapDma(kP, 0x9000000, std::span(buf), true);
     iommu.unmapDma(kP, 0x9000000);
     EXPECT_FALSE(iommu.resolveDma(kP, 0x9000000, 100, true).has_value());
-}
-
-TEST_F(IommuFixture, DmaTranslateLatencyHitVsMiss)
-{
-    std::vector<std::uint8_t> buf(4096);
-    iommu.mapDma(kP, 0x9000000, std::span(buf), true);
-    const Time miss = iommu.dmaTranslateLatency(kP, 0x9000000);
-    const Time hit = iommu.dmaTranslateLatency(kP, 0x9000000);
-    EXPECT_GT(miss, hit); // IOTLB hit is cheaper (Table 4)
 }
 
 TEST(TranslationCache, LruEviction)

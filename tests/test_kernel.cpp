@@ -1,14 +1,18 @@
 /**
  * @file
  * Kernel syscall-layer tests: O_DIRECT sync path timing (Table 1),
- * buffered path through the page cache, appends, fsync, per-inode write
- * serialization, libaio and io_uring engines, CPU model.
+ * buffered path through the page cache, appends, fsync, dirty-page
+ * writeback, per-inode write serialization, libaio and io_uring
+ * engines, CPU model.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "kern/aio.hpp"
 #include "kern/io_uring.hpp"
+#include "qos/qos.hpp"
 #include "tests/helpers.hpp"
 
 using namespace bpd;
@@ -298,6 +302,177 @@ TEST_F(KernFixture, IoUringPinsACore)
         EXPECT_EQ(s.kernel.cpu().occupants(), 1u);
     }
     EXPECT_EQ(s.kernel.cpu().occupants(), 0u);
+}
+
+TEST(Writeback, DirtyVictimLandsInItsOwnFile)
+{
+    // A 2-page cache: buffered writes to /b evict a dirty page of /a,
+    // which must be written through /a's mapping, not /b's.
+    sim::setVerbose(false);
+    sys::SystemConfig cfg = smallConfig();
+    cfg.kernel.pageCacheBytes = 2 * kBlockBytes;
+    sys::System s(cfg);
+    kern::Process &p = s.newProcess();
+    constexpr std::uint64_t kPage5 = 5 * kBlockBytes;
+    // setupCreateFile leaves O_DIRECT fds open: they read the media.
+    const int da = s.kernel.setupCreateFile(p, "/a", 8 * kBlockBytes, 1);
+    const int db = s.kernel.setupCreateFile(p, "/b", 8 * kBlockBytes, 2);
+    std::vector<std::uint8_t> aBefore(kBlockBytes), bBefore(kBlockBytes);
+    ASSERT_EQ(kPread(s, p, da, aBefore, kPage5).n, 4096);
+    ASSERT_EQ(kPread(s, p, db, bBefore, kPage5).n, 4096);
+    const std::vector<std::uint8_t> aa(kBlockBytes, 0xaa);
+    ASSERT_NE(aBefore, aa);
+
+    const int fa = kOpen(s, p, "/a", kOpenRead | kOpenWrite);
+    const int fb = kOpen(s, p, "/b", kOpenRead | kOpenWrite);
+    ASSERT_EQ(kPwrite(s, p, fa, aa, kPage5).n, 4096);
+    const std::vector<std::uint8_t> bb(kBlockBytes, 0xbb);
+    ASSERT_EQ(kPwrite(s, p, fb, bb, 0).n, 4096);
+    ASSERT_EQ(kPwrite(s, p, fb, bb, kBlockBytes).n, 4096); // evicts /a's
+
+    std::vector<std::uint8_t> back(kBlockBytes);
+    ASSERT_EQ(kPread(s, p, da, back, kPage5).n, 4096);
+    EXPECT_EQ(back, aa);
+    ASSERT_EQ(kPread(s, p, db, back, kPage5).n, 4096);
+    EXPECT_EQ(back, bBefore);
+}
+
+TEST(Writeback, FsyncWritesKeepTheirBytesWhileParked)
+{
+    // fsync's page writes wait behind their tenant's QoS cap while
+    // another process's buffered writes evict, and so free, the cached
+    // pages they were taken from: each write must own its bytes.
+    sim::setVerbose(false);
+    sys::SystemConfig cfg = smallConfig();
+    constexpr std::size_t kPages = 256;
+    cfg.kernel.pageCacheBytes = kPages * kBlockBytes;
+    sys::System s(cfg);
+    s.enableTenantAccounting(); // pages carry their writer's tenant
+    qos::Registry &qos = s.enableQos();
+    kern::Process &a = s.newProcess();
+    kern::Process &b = s.newProcess();
+    qos::TenantLimit cap;
+    cap.iopsLimit = 100000;
+    cap.burstOps = 1;
+    qos.setLimit(a.pasid(), cap);
+
+    const std::uint32_t rwc = kOpenRead | kOpenWrite | kOpenCreate;
+    const int fa = kOpen(s, a, "/a", rwc);
+    const int fb = kOpen(s, b, "/b", rwc);
+    const std::vector<std::uint8_t> aData(kPages * kBlockBytes, 0xaa);
+    const std::vector<std::uint8_t> bData(kPages * kBlockBytes, 0xbb);
+    const auto n = static_cast<long long>(aData.size());
+    ASSERT_EQ(kPwrite(s, a, fa, aData, 0).n, n);
+
+    int rc = -12345;
+    long long bn = -1;
+    s.kernel.sysFsync(a, fa, [&](int r) { rc = r; });
+    s.kernel.sysPwrite(b, fb, bData, 0,
+                       [&](long long r, kern::IoTrace) { bn = r; });
+    s.run();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(bn, n);
+
+    const int da = kOpen(s, a, "/a", kOpenRead | kOpenDirect);
+    std::vector<std::uint8_t> back(aData.size());
+    ASSERT_EQ(kPread(s, a, da, back, 0).n, n);
+    std::size_t wrong = 0;
+    for (std::size_t pg = 0; pg < kPages; pg++) {
+        wrong += !std::all_of(back.begin() + pg * kBlockBytes,
+                              back.begin() + (pg + 1) * kBlockBytes,
+                              [](std::uint8_t x) { return x == 0xaa; });
+    }
+    EXPECT_EQ(wrong, 0u);
+}
+
+TEST(Writeback, AParkedPageWriteNeverLandsOverANewerOne)
+{
+    // A's fsync writes of /a park behind A's QoS cap. B then reads the
+    // pages (so their writeback is billed to B, who has no cap),
+    // rewrites them and fsyncs: B's writes must wait for A's older
+    // ones, or those land last and lose B's acknowledged bytes.
+    sim::setVerbose(false);
+    sys::System s(smallConfig());
+    s.enableTenantAccounting(); // a cached page carries its last tenant
+    qos::Registry &qos = s.enableQos();
+    kern::Process &a = s.newProcess();
+    kern::Process &b = s.newProcess();
+    qos::TenantLimit cap;
+    cap.iopsLimit = 1000; // one write per ms
+    cap.burstOps = 1;
+    qos.setLimit(a.pasid(), cap);
+
+    constexpr std::size_t kPages = 4;
+    const int fa = kOpen(s, a, "/a", kOpenRead | kOpenWrite | kOpenCreate);
+    const int fb = kOpen(s, b, "/a", kOpenRead | kOpenWrite);
+    const std::vector<std::uint8_t> older(kPages * kBlockBytes, 0x11);
+    const std::vector<std::uint8_t> newer(kPages * kBlockBytes, 0x22);
+    const auto n = static_cast<long long>(older.size());
+    ASSERT_EQ(kPwrite(s, a, fa, older, 0).n, n);
+
+    int rcA = -12345;
+    int rcB = -12345;
+    s.kernel.sysFsync(a, fa, [&](int r) { rcA = r; });
+    s.runUntil(s.now() + 100 * kUs); // one write landed, three parked
+    std::vector<std::uint8_t> seen(older.size());
+    s.kernel.sysPread(b, fb, seen, 0, [&](long long, kern::IoTrace) {
+        s.kernel.sysPwrite(b, fb, newer, 0, [&](long long, kern::IoTrace) {
+            s.kernel.sysFsync(b, fb, [&](int r) { rcB = r; });
+        });
+    });
+    s.run();
+    EXPECT_EQ(rcA, 0);
+    EXPECT_EQ(rcB, 0);
+
+    const int direct = kOpen(s, b, "/a", kOpenRead | kOpenDirect);
+    std::vector<std::uint8_t> back(newer.size());
+    ASSERT_EQ(kPread(s, b, direct, back, 0).n, n);
+    EXPECT_EQ(back, newer);
+}
+
+TEST(Writeback, FsyncWaitsForTheFilesPageWritesInFlight)
+{
+    // A's buffered write of /a evicts a dirty page whose write parks
+    // behind A's QoS cap. B's fsync of /a must not return before that
+    // write lands, though none of B's own page writes waits for it.
+    sim::setVerbose(false);
+    sys::SystemConfig cfg = smallConfig();
+    cfg.kernel.pageCacheBytes = 2 * kBlockBytes;
+    sys::System s(cfg);
+    s.enableTenantAccounting(); // a cached page carries its last tenant
+    qos::Registry &qos = s.enableQos();
+    kern::Process &a = s.newProcess();
+    kern::Process &b = s.newProcess();
+    qos::TenantLimit cap;
+    cap.iopsLimit = 1000; // one write per ms
+    cap.burstOps = 1;
+    qos.setLimit(a.pasid(), cap);
+    // setupCreateFile leaves an O_DIRECT fd open: it reads the media.
+    const int media = s.kernel.setupCreateFile(a, "/a", 8 * kBlockBytes, 1);
+    const int fa = kOpen(s, a, "/a", kOpenRead | kOpenWrite);
+    const int fb = kOpen(s, b, "/a", kOpenRead | kOpenWrite);
+
+    // Pages 0-3 through the 2-page cache: page 0's eviction write takes
+    // A's one token, page 1's parks for a millisecond.
+    const std::vector<std::uint8_t> aa(4 * kBlockBytes, 0xaa);
+    s.kernel.sysPwrite(a, fa, aa, 0, [](long long, kern::IoTrace) {});
+    s.runUntil(s.now() + 50 * kUs);
+    // B's read of pages 2-3 bills their writes to B, so they do not
+    // queue behind page 1's in A's FIFO.
+    std::vector<std::uint8_t> seen(2 * kBlockBytes);
+    std::vector<std::uint8_t> page1(kBlockBytes);
+    int rc = -12345;
+    s.kernel.sysPread(b, fb, seen, 2 * kBlockBytes,
+                      [&](long long, kern::IoTrace) {
+                          s.kernel.sysFsync(b, fb, [&](int r) {
+                              rc = r;
+                              s.kernel.setupRead(a, media, page1,
+                                                 kBlockBytes);
+                          });
+                      });
+    s.run();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(page1, std::vector<std::uint8_t>(kBlockBytes, 0xaa));
 }
 
 TEST(CpuModel, DilationAndPenalty)

@@ -5,9 +5,8 @@
  * oversize borrow), park/drain FIFO order and pacing through the
  * qos::admit gate, weighted-fair SQ arbitration under backlog, digest
  * neutrality of an enabled-but-empty registry, throttle-and-drain at
- * the kernel, BypassD and SPDK gates, the SPDK envelope under parking,
- * and the dispatcher cid regression (a refused submit must not burn a
- * command id).
+ * the kernel, BypassD and SPDK gates, and the SPDK envelope under
+ * parking.
  */
 
 #include <functional>
@@ -25,7 +24,6 @@
 #include "sim/event_queue.hpp"
 #include "spdk/spdk.hpp"
 #include "ssd/block_store.hpp"
-#include "ssd/dispatcher.hpp"
 #include "ssd/nvme.hpp"
 #include "system/system.hpp"
 #include "workloads/fio.hpp"
@@ -225,20 +223,19 @@ TEST_F(QosDevFixture, WeightedArbitrationSkewsServiceUnderBacklog)
     std::vector<std::uint8_t> buf(4096);
     int doneHeavy = 0, doneLight = 0;
     int midLight = -1; // light's progress at heavy's 100th completion
-    heavy->setCompletionHook([&](const ssd::Completion &) {
-        doneHeavy++;
-        if (doneHeavy == 100)
-            midLight = doneLight;
-    });
-    light->setCompletionHook([&](const ssd::Completion &) { doneLight++; });
     for (int i = 0; i < 200; i++) {
         ssd::Command cmd;
         cmd.op = ssd::Op::Read;
         cmd.addr = static_cast<DevAddr>(i) * 4096;
         cmd.len = 4096;
         cmd.hostBuf = buf;
-        ASSERT_TRUE(heavy->submit(cmd));
-        ASSERT_TRUE(light->submit(cmd));
+        ASSERT_TRUE(heavy->submit(cmd, [&](const ssd::Completion &) {
+            doneHeavy++;
+            if (doneHeavy == 100)
+                midLight = doneLight;
+        }));
+        ASSERT_TRUE(light->submit(
+            cmd, [&](const ssd::Completion &) { doneLight++; }));
     }
     eq.run();
 
@@ -250,38 +247,6 @@ TEST_F(QosDevFixture, WeightedArbitrationSkewsServiceUnderBacklog)
     EXPECT_LE(ratio, 5.0) << "light had " << midLight;
     EXPECT_EQ(doneHeavy, 200);
     EXPECT_EQ(doneLight, 200);
-}
-
-TEST_F(QosDevFixture, RefusedSubmitDoesNotBurnCid)
-{
-    // SQ of depth 4: the fifth submit is refused. The refusal must not
-    // consume a command id — when the queue drains and the submit is
-    // retried, it completes with the next dense cid, keeping the cid
-    // stream identical to a run that never hit SQ-full.
-    ssd::QueuePair *qp = dev->createQueuePair(kNoPasid, 4, false);
-    ASSERT_NE(qp, nullptr);
-    ssd::CommandDispatcher disp(*qp);
-    std::vector<std::uint8_t> buf(4096);
-    ssd::Command cmd;
-    cmd.op = ssd::Op::Read;
-    cmd.addr = 0;
-    cmd.len = 4096;
-    cmd.hostBuf = buf;
-
-    std::vector<std::uint64_t> cids;
-    auto record = [&](const ssd::Completion &c) { cids.push_back(c.cid); };
-    for (int i = 0; i < 4; i++)
-        ASSERT_TRUE(disp.submit(cmd, record));
-    EXPECT_FALSE(disp.submit(cmd, record));
-    EXPECT_FALSE(disp.submit(cmd, record));
-    EXPECT_EQ(disp.outstanding(), 4u); // refused callbacks not retained
-    eq.run();
-    ASSERT_TRUE(disp.submit(cmd, record));
-    eq.run();
-
-    ASSERT_EQ(cids.size(), 5u);
-    for (std::uint64_t i = 0; i < 5; i++)
-        EXPECT_EQ(cids[i], i + 1) << "refused submit burned a cid";
 }
 
 TEST(QosNeutrality, EnabledEmptyRegistryKeepsDigests)

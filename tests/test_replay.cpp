@@ -519,11 +519,16 @@ TEST(ReplayLoad, ConfigRoundTripsThroughMap)
 {
     sys::SystemConfig cfg;
     cfg.seed = 1234;
-    cfg.iommu.iotlbEntries = 96;
+    cfg.iommu.walkCacheEntries = 96;
     cfg.ssd.readBaseNs = 7777;
-    const sys::SystemConfig back
-        = obs::configFromMap(obs::configToMap(cfg));
+    auto map = obs::configToMap(cfg);
+    // Keys this build no longer knows (an older capture's IOTLB size)
+    // are ignored, so such captures still load.
+    map.emplace_back("iommu_iotlb_entries", 96);
+    map.emplace_back("iommu_iotlb_ways", 4);
+    const sys::SystemConfig back = obs::configFromMap(map);
     EXPECT_EQ(back.seed, 1234u);
-    EXPECT_EQ(back.iommu.iotlbEntries, 96u);
+    EXPECT_EQ(back.iommu.walkCacheEntries, 96u);
     EXPECT_EQ(back.ssd.readBaseNs, 7777u);
+    EXPECT_EQ(obs::configToMap(back), obs::configToMap(cfg));
 }

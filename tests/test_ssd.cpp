@@ -15,7 +15,6 @@
 #include "mem/page_table.hpp"
 #include "sim/event_queue.hpp"
 #include "ssd/block_store.hpp"
-#include "ssd/dispatcher.hpp"
 #include "ssd/nvme.hpp"
 
 using namespace bpd;
@@ -93,14 +92,12 @@ struct DevFixture : ::testing::Test
     {
         Completion out;
         bool done = false;
-        CommandDispatcher disp(*qp);
-        disp.submit(cmd, [&](const Completion &c) {
+        qp->submit(cmd, [&](const Completion &c) {
             out = c;
             done = true;
         });
         eq.run();
         EXPECT_TRUE(done);
-        qp->setCompletionHook(nullptr);
         return out;
     }
 };
@@ -301,16 +298,14 @@ TEST_F(DevFixture, RoundRobinFairness)
     QueuePair *q2 = dev->createQueuePair(kNoPasid, 256, false);
     std::vector<std::uint8_t> buf(4096);
     int done1 = 0, done2 = 0;
-    q1->setCompletionHook([&](const Completion &) { done1++; });
-    q2->setCompletionHook([&](const Completion &) { done2++; });
     for (int i = 0; i < 200; i++) {
         Command cmd;
         cmd.op = Op::Read;
         cmd.addr = static_cast<DevAddr>(i) * 4096;
         cmd.len = 4096;
         cmd.hostBuf = buf;
-        ASSERT_TRUE(q1->submit(cmd));
-        ASSERT_TRUE(q2->submit(cmd));
+        ASSERT_TRUE(q1->submit(cmd, [&](const Completion &) { done1++; }));
+        ASSERT_TRUE(q2->submit(cmd, [&](const Completion &) { done2++; }));
     }
     eq.run();
     EXPECT_EQ(done1, 200);
@@ -325,14 +320,13 @@ TEST_F(DevFixture, ThroughputSaturatesNearProfile)
     std::vector<std::uint8_t> buf(4096);
     std::uint64_t completed = 0;
     std::function<void()> refill;
-    CommandDispatcher disp(*qp);
     auto submitOne = [&]() {
         Command cmd;
         cmd.op = Op::Read;
         cmd.addr = (completed % 1024) * 4096;
         cmd.len = 4096;
         cmd.hostBuf = buf;
-        disp.submit(cmd, [&](const Completion &) {
+        qp->submit(cmd, [&](const Completion &) {
             completed++;
             if (eq.now() < 10 * kMs)
                 refill();
@@ -352,7 +346,6 @@ TEST_F(DevFixture, ThroughputSaturatesNearProfile)
 TEST_F(DevFixture, FlushWaitsForPriorWrites)
 {
     QueuePair *qp = dev->createQueuePair(kNoPasid, 32, false);
-    CommandDispatcher disp(*qp);
     std::vector<std::uint8_t> buf(4096, 1);
     Time writeDone = 0, flushDone = 0;
     Command wr;
@@ -360,12 +353,12 @@ TEST_F(DevFixture, FlushWaitsForPriorWrites)
     wr.addr = 0;
     wr.len = 4096;
     wr.hostBuf = buf;
-    disp.submit(wr, [&](const Completion &c) {
+    qp->submit(wr, [&](const Completion &c) {
         writeDone = c.completeTime;
     });
     Command fl;
     fl.op = Op::Flush;
-    disp.submit(fl, [&](const Completion &c) {
+    qp->submit(fl, [&](const Completion &c) {
         flushDone = c.completeTime;
     });
     eq.run();
@@ -402,117 +395,106 @@ TEST_F(DevFixture, QueueDepthBackpressure)
     cmd.addr = 0;
     cmd.len = 4096;
     cmd.hostBuf = buf;
-    int ok = 0;
+    int ok = 0, done = 0;
     for (int i = 0; i < 10; i++) {
-        if (qp->submit(cmd))
+        if (qp->submit(cmd, [&](const Completion &) { done++; }))
             ok++;
     }
     EXPECT_EQ(ok, 4);
+    EXPECT_EQ(qp->outstanding(), 4u);
     eq.run();
-    while (qp->pollCq())
-        ;
-    EXPECT_TRUE(qp->submit(cmd));
+    EXPECT_EQ(done, 4);
+    EXPECT_EQ(qp->outstanding(), 0u);
+    EXPECT_TRUE(qp->submit(cmd, [&](const Completion &) { done++; }));
     eq.run();
+    EXPECT_EQ(done, 5);
 }
 
 TEST_F(DevFixture, DispatcherRoutesOutOfOrderCompletionsAcrossGrow)
 {
-    // A flush (~6 us) finishes after the 4 KiB reads (~4 us) submitted
-    // behind it, so completions arrive out of cid order; 48 outstanding
-    // commands grow the cid table from 16 slots to 128, and callbacks
-    // that resubmit insert while earlier entries are being erased.
+    // The queue pair routes each completion to its command's callback
+    // by the slot index in the cid. A flush (~6 us) finishes after the
+    // 4 KiB reads (~4 us) submitted behind it, so completions arrive
+    // out of submission order; 48 outstanding commands grow the slot
+    // table step by step, and callbacks that resubmit take a slot
+    // while the table may grow under them.
     QueuePair *qp = dev->createQueuePair(kNoPasid, 256, false);
-    CommandDispatcher disp(*qp);
     std::vector<std::uint8_t> buf(4096);
     std::vector<int> fired;          // per submission: callback runs
-    std::vector<std::uint64_t> seen; // cids in completion order
-    std::size_t peak = 0;
+    std::vector<std::uint64_t> cids; // per submission: its cid
+    std::vector<std::size_t> order;  // submissions in completion order
+    std::uint32_t peak = 0;
     std::function<void()> submitOne = [&]() {
         const std::size_t k = fired.size();
         fired.push_back(0);
+        cids.push_back(0);
         Command cmd;
         cmd.op = k % 3 == 0 ? Op::Flush : Op::Read;
         cmd.addr = static_cast<DevAddr>(k) * 4096;
         cmd.len = 4096;
         cmd.hostBuf = buf;
-        ASSERT_TRUE(disp.submit(cmd, [&, k](const Completion &c) {
+        ASSERT_TRUE(qp->submit(cmd, [&, k](const Completion &c) {
             fired[k]++;
-            // Cids are handed out sequentially from 1 to accepted
-            // submissions, so submission k must see cid k + 1.
-            EXPECT_EQ(c.cid, k + 1);
+            cids[k] = c.cid;
             EXPECT_EQ(c.status, Status::Success);
-            seen.push_back(c.cid);
+            order.push_back(k);
             if (fired.size() < 96)
                 submitOne();
         }));
-        peak = std::max(peak, disp.outstanding());
+        peak = std::max(peak, qp->outstanding());
     };
     for (int i = 0; i < 48; i++)
         submitOne();
     eq.run();
 
-    EXPECT_GE(peak, 48u);
-    EXPECT_EQ(disp.outstanding(), 0u);
+    EXPECT_EQ(peak, 48u);
+    EXPECT_EQ(qp->outstanding(), 0u);
     ASSERT_EQ(fired.size(), 96u);
-    for (std::size_t k = 0; k < fired.size(); k++)
+    for (std::size_t k = 0; k < fired.size(); k++) {
         EXPECT_EQ(fired[k], 1) << "submission " << k;
-    ASSERT_EQ(seen.size(), 96u);
-    EXPECT_FALSE(std::is_sorted(seen.begin(), seen.end()));
+        // Slots never pass the peak outstanding count.
+        EXPECT_LT(cids[k], 48u) << "submission " << k;
+    }
+    // The first 48 submissions filled slots 0..47 in order.
+    for (std::size_t k = 0; k < 48; k++)
+        EXPECT_EQ(cids[k], k);
+    ASSERT_EQ(order.size(), 96u);
+    EXPECT_FALSE(std::is_sorted(order.begin(), order.end()));
 }
 
 TEST_F(DevFixture, DispatcherRefusedSubmitKeepsCallback)
 {
     QueuePair *qp = dev->createQueuePair(kNoPasid, 2, false);
-    CommandDispatcher disp(*qp);
     std::vector<std::uint8_t> buf(4096);
     Command cmd;
     cmd.op = Op::Read;
     cmd.len = 4096;
     cmd.hostBuf = buf;
-    ASSERT_TRUE(disp.submit(cmd, [](const Completion &) {}));
-    ASSERT_TRUE(disp.submit(cmd, [](const Completion &) {}));
+    ASSERT_TRUE(qp->submit(cmd, [](const Completion &) {}));
+    ASSERT_TRUE(qp->submit(cmd, [](const Completion &) {}));
 
     int fires = 0;
-    std::uint64_t cid = 0;
-    CommandDispatcher::CompletionFn fn = [&](const Completion &c) {
+    std::uint64_t cid = 99;
+    CompletionFn fn = [&](const Completion &c) {
         fires++;
         cid = c.cid;
     };
     // SQ full: the refused submit must leave the callback with the
-    // caller, untouched, and must not burn a cid.
-    EXPECT_FALSE(disp.submit(cmd, std::move(fn)));
+    // caller, untouched.
+    EXPECT_FALSE(qp->submit(cmd, std::move(fn)));
     EXPECT_TRUE(static_cast<bool>(fn));
-    EXPECT_EQ(disp.outstanding(), 2u);
+    EXPECT_EQ(qp->outstanding(), 2u);
     eq.run();
     EXPECT_EQ(fires, 0);
 
-    EXPECT_TRUE(disp.submit(cmd, std::move(fn)));
+    EXPECT_TRUE(qp->submit(cmd, std::move(fn)));
     EXPECT_FALSE(static_cast<bool>(fn));
     eq.run();
     EXPECT_EQ(fires, 1);
-    EXPECT_EQ(cid, 3u);
-    EXPECT_EQ(disp.outstanding(), 0u);
-}
-
-TEST_F(DevFixture, DispatcherPanicsOnUnknownCid)
-{
-    QueuePair *qp = dev->createQueuePair(kNoPasid, 32, false);
-    std::vector<std::uint8_t> buf(4096);
-    Command cmd;
-    cmd.op = Op::Read;
-    cmd.len = 4096;
-    cmd.hostBuf = buf;
-    EXPECT_DEATH(
-        {
-            CommandDispatcher issuer(*qp);
-            issuer.submit(cmd, [](const Completion &) {});
-            // A second dispatcher takes over the queue's completion
-            // hook, so the completion for the first one's cid reaches
-            // a table that never issued it.
-            CommandDispatcher other(*qp);
-            eq.run();
-        },
-        "completion for unknown command id");
+    // Slot 1's command completed last, so LIFO reuse hands its slot
+    // to the retry.
+    EXPECT_EQ(cid, 1u);
+    EXPECT_EQ(qp->outstanding(), 0u);
 }
 
 TEST_F(DevFixture, LargeReadBandwidthBound)
