@@ -408,14 +408,12 @@ BypassdModule::createUserQueues(kern::Process &p, std::uint32_t depth,
                                                       /*vbaMode=*/true);
     if (!uq->qp)
         return nullptr;
-    uq->dmaBuf.assign(dmaBytes, 0);
+    uq->dmaBuf = mem::DmaBuffer(dmaBytes);
     uq->dmaIova = p.aspace().reserve(dmaBytes, kBlockBytes);
     // The DMA buffer is registered with the home device's IOMMU context;
     // that device resolves (pasid, iova) through it.
-    kernel_.slotIommu(slot).mapDma(
-        p.pasid(), uq->dmaIova,
-        std::span<std::uint8_t>(uq->dmaBuf.data(), uq->dmaBuf.size()),
-        /*writable=*/true);
+    kernel_.slotIommu(slot).mapDma(p.pasid(), uq->dmaIova,
+                                   uq->dmaBuf.span(), /*writable=*/true);
     // One-time setup: queue registration + buffer pinning. Charged once
     // at initialization, like SPDK's hugepage setup (Section 3.3).
     uq->setupCost = 20 * kUs;

@@ -17,6 +17,7 @@
 
 #include "bypassd/file_table.hpp"
 #include "kern/kernel.hpp"
+#include "mem/dma_buffer.hpp"
 
 namespace bpd::bypassd {
 
@@ -35,7 +36,7 @@ struct FmapResult
 struct UserQueues
 {
     ssd::QueuePair *qp = nullptr;
-    std::vector<std::uint8_t> dmaBuf;
+    mem::DmaBuffer dmaBuf;
     std::uint64_t dmaIova = 0;
     Time setupCost = 0;
     std::size_t slot = 0; //!< device slot the queue pair lives on

@@ -80,6 +80,13 @@ class Inode
      */
     std::vector<std::pair<BlockNo, std::uint64_t>> deferredFrees;
 
+    /**
+     * Negative errno of a failed write of an evicted page of this file,
+     * 0 when none: as Linux keeps writeback errors on the mapping, the
+     * next fsync reports it once and clears it.
+     */
+    int writebackErr = 0;
+
     bool isDir() const { return type == FileType::Directory; }
 
     /** Size in 4 KiB blocks, rounded up. */

@@ -206,6 +206,7 @@ void
 Iommu::mapDma(Pasid pasid, std::uint64_t iova, std::span<std::uint8_t> mem,
               bool writable)
 {
+    dmaEpoch_++;
     auto it = dmaAfter(pasid, iova);
     if (it != dma_.begin() && it[-1].pasid == pasid && it[-1].iova == iova)
         it[-1] = DmaMapping{pasid, writable, iova, mem};
@@ -216,27 +217,50 @@ Iommu::mapDma(Pasid pasid, std::uint64_t iova, std::span<std::uint8_t> mem,
 void
 Iommu::unmapDma(Pasid pasid, std::uint64_t iova)
 {
+    dmaEpoch_++;
     auto it = dmaAfter(pasid, iova);
     if (it != dma_.begin() && it[-1].pasid == pasid && it[-1].iova == iova)
         dma_.erase(it - 1);
 }
 
+namespace {
+
+/** [iova, iova + len) inside @p m, if @p m allows the access. */
+std::optional<std::span<std::uint8_t>>
+dmaSlice(const Iommu::DmaMapping &m, std::uint64_t iova, std::uint32_t len,
+         bool deviceWrites)
+{
+    const std::uint64_t offset = iova - m.iova;
+    if (offset > m.mem.size() || len > m.mem.size() - offset)
+        return std::nullopt;
+    if (deviceWrites && !m.writable)
+        return std::nullopt;
+    return m.mem.subspan(offset, len);
+}
+
+} // namespace
+
 std::optional<std::span<std::uint8_t>>
 Iommu::resolveDma(Pasid pasid, std::uint64_t iova, std::uint32_t len,
-                  bool deviceWrites)
+                  bool deviceWrites, DmaMemo *memo)
 {
+    if (memo && memo->epoch == dmaEpoch_ && memo->m.pasid == pasid
+        && iova >= memo->m.iova && iova < memo->end) {
+        if (auto s = dmaSlice(memo->m, iova, len, deviceWrites))
+            return s;
+    }
     // The registration with the largest base <= iova, if it is this
     // PASID's: the one before it in the flat order may be another's.
     auto it = dmaAfter(pasid, iova);
     if (it == dma_.begin() || it[-1].pasid != pasid)
         return std::nullopt;
-    const DmaMapping &m = it[-1];
-    const std::uint64_t offset = iova - m.iova;
-    if (offset + len > m.mem.size())
-        return std::nullopt;
-    if (deviceWrites && !m.writable)
-        return std::nullopt;
-    return m.mem.subspan(offset, len);
+    auto s = dmaSlice(it[-1], iova, len, deviceWrites);
+    if (s && memo) {
+        const bool last = it == dma_.end() || it->pasid != pasid;
+        *memo = DmaMemo{it[-1], last ? ~std::uint64_t{0} : it->iova,
+                        dmaEpoch_};
+    }
+    return s;
 }
 
 } // namespace bpd::iommu

@@ -143,14 +143,39 @@ class Iommu
                 bool writable);
     void unmapDma(Pasid pasid, std::uint64_t iova);
 
+    /** A registered DMA region. */
+    struct DmaMapping
+    {
+        Pasid pasid;
+        bool writable;
+        std::uint64_t iova; //!< base IOVA
+        std::span<std::uint8_t> mem;
+    };
+
     /**
-     * Resolve a DMA target.
+     * The registration a requester resolved last, kept by the requester
+     * (each queue pair has one: its commands all name its own buffer)
+     * so that its next command skips the registry search. It answers
+     * only IOVAs below the PASID's next registration, so a hit returns
+     * what the registry would. Every mapDma() and unmapDma() drops all
+     * memos.
+     */
+    struct DmaMemo
+    {
+        DmaMapping m{};
+        std::uint64_t end = 0;   //!< base of the PASID's next registration
+        std::uint64_t epoch = 0; //!< registry epoch when filled; 0 = empty
+    };
+
+    /**
+     * Resolve a DMA target. A miss or a rejection goes through the
+     * registry; a resolved mapping refills @p memo when one is given.
      * @param deviceWrites True when the device writes to host memory.
      * @return Host span, or nullopt on any violation.
      */
     std::optional<std::span<std::uint8_t>>
     resolveDma(Pasid pasid, std::uint64_t iova, std::uint32_t len,
-               bool deviceWrites);
+               bool deviceWrites, DmaMemo *memo = nullptr);
     ///@}
 
     /** @name Statistics */
@@ -182,18 +207,13 @@ class Iommu
     IommuProfile profile_;
     std::unordered_map<Pasid, const mem::PageTable *> pasidTable_;
 
-    struct DmaMapping
-    {
-        Pasid pasid;
-        bool writable;
-        std::uint64_t iova; //!< base IOVA
-        std::span<std::uint8_t> mem;
-    };
     /**
      * Registered DMA regions (one per user queue pair or VM), sorted by
      * (pasid, base IOVA).
      */
     std::vector<DmaMapping> dma_;
+    /** Bumped by every mapDma() and unmapDma(); DmaMemo::epoch checks it. */
+    std::uint64_t dmaEpoch_ = 1;
     /** The first registration after (@p pasid, @p iova) in dma_. */
     std::vector<DmaMapping>::iterator dmaAfter(Pasid pasid,
                                                std::uint64_t iova);

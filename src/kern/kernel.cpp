@@ -596,7 +596,7 @@ Kernel::bufferedRead(fs::Inode &ino, std::span<std::uint8_t> buf,
                 std::memcpy(page->data.data(), scratch->data(),
                             kBlockBytes);
                 if (evicted)
-                    writebackPage(std::move(evicted), [](ssd::Status) {});
+                    writebackEvicted(std::move(evicted));
                 if (--fetch->remaining == 0)
                     fetch->complete();
             };
@@ -669,7 +669,7 @@ Kernel::bufferedWrite(Process &p, fs::Inode &ino,
             fs::PageCache::Page *page
                 = pageCache_.insert(ino.ino, pg, &evicted);
             if (evicted)
-                writebackPage(std::move(evicted), [](ssd::Status) {});
+                writebackEvicted(std::move(evicted));
             std::memcpy(page->data.data() + pgOff, buf.data() + done,
                         chunk);
             page->dirty = true;
@@ -707,6 +707,18 @@ Kernel::writebackPage(std::unique_ptr<fs::PageCache::Page> page,
         wb.nextDone = std::move(done);
     }
     wb.next = std::move(page);
+}
+
+void
+Kernel::writebackEvicted(std::unique_ptr<fs::PageCache::Page> page)
+{
+    const InodeNum ino = page->ino;
+    writebackPage(std::move(page), [this, ino](ssd::Status st) {
+        if (st == ssd::Status::Success)
+            return;
+        if (fs::Inode *node = vfs_.fs().inode(ino))
+            node->writebackErr = devErr(st);
+    });
 }
 
 void
@@ -766,7 +778,7 @@ Kernel::sysFsync(Process &p, int fd, IntCb cb)
         // NVMe flush of the file's home slot once its dirty pages and
         // its page writes already in flight have landed, then metadata
         // commit. fsync fails with the worst status among those writes
-        // and the flush.
+        // and the flush, or else with an earlier eviction write's error.
         struct Sync
         {
             std::size_t remaining = 1; //!< page writes + this issue loop
@@ -786,8 +798,9 @@ Kernel::sysFsync(Process &p, int fd, IntCb cb)
                     if (c.status != ssd::Status::Success)
                         sync->worst = c.status;
                     const int rc = sync->worst == ssd::Status::Success
-                                       ? 0
+                                       ? node->writebackErr
                                        : devErr(sync->worst);
+                    node->writebackErr = 0;
                     eq_.after(cpu_.scaled(costs_.kernelToUserNs),
                               [sync, rc]() { sync->cb(rc); });
                 });

@@ -326,6 +326,9 @@ class Kernel
      */
     void writebackPage(std::unique_ptr<fs::PageCache::Page> page,
                        WritebackDone done);
+    /** writebackPage() for a page the cache evicted: a failed write
+     *  sets the inode's writebackErr for the next fsync. */
+    void writebackEvicted(std::unique_ptr<fs::PageCache::Page> page);
     /** Issue @p page's write; its writebacks_ entry exists. */
     void startWriteback(std::unique_ptr<fs::PageCache::Page> page);
     /** The write in flight for @p key landed with @p st. */

@@ -211,7 +211,7 @@ NvmeDevice::hostSpan(QueuePair &qp, const Command &cmd, bool deviceWrites)
 {
     if (cmd.useIova)
         return iommu_.resolveDma(qp.pasid(), cmd.dmaIova, cmd.len,
-                                 deviceWrites);
+                                 deviceWrites, &qp.dmaMemo_);
     if (cmd.hostBuf.size() >= cmd.len)
         return cmd.hostBuf.subspan(0, cmd.len);
     return std::nullopt;

@@ -226,6 +226,8 @@ class QueuePair
     std::vector<std::uint32_t> freeSlots_; //!< LIFO stack of free cids
 
     Time lastWriteDone_ = 0; //!< for flush ordering
+    /** The DMA registration this queue's last IOVA command resolved. */
+    iommu::Iommu::DmaMemo dmaMemo_;
 
     DevAddr partBase_ = 0;
     std::uint64_t partBytes_ = 0; //!< 0 = whole device

@@ -15,9 +15,7 @@ VmGuest::VmGuest(sys::System &host, DevAddr base, std::uint64_t bytes,
     qp_ = host_.dev.createVfQueuePair(pasid_, 256, /*vbaMode=*/true,
                                       base_, bytes_);
     sim::panicIf(qp_ == nullptr, "VF queue creation failed");
-    dmaBuf_.assign(1 << 20, 0);
-    host_.iommu.mapDma(pasid_, 0x9000000,
-                       std::span<std::uint8_t>(dmaBuf_), true);
+    host_.iommu.mapDma(pasid_, 0x9000000, dmaBuf_.span(), true);
 }
 
 Vaddr

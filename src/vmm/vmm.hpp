@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "kern/kernel.hpp"
+#include "mem/dma_buffer.hpp"
 #include "mem/page_table.hpp"
 #include "system/system.hpp"
 
@@ -72,7 +73,7 @@ class VmGuest
     Vaddr nextVba_ = 0x40000000;
 
     ssd::QueuePair *qp_ = nullptr;
-    std::vector<std::uint8_t> dmaBuf_;
+    mem::DmaBuffer dmaBuf_{1 << 20};
 };
 
 /**

@@ -418,6 +418,41 @@ TEST_F(IommuFixture, DmaUnmapRevokes)
     EXPECT_FALSE(iommu.resolveDma(kP, 0x9000000, 100, true).has_value());
 }
 
+TEST_F(IommuFixture, DmaMemoAnswersAsTheRegistry)
+{
+    // b overlaps a's second page; the registry resolves an IOVA through
+    // the registration with the largest base below it, and so must a
+    // memo filled from a.
+    std::vector<std::uint8_t> a(8192), b(4096);
+    iommu.mapDma(kP, 0x9000000, std::span(a), true);
+    iommu.mapDma(kP, 0x9001000, std::span(b), /*writable=*/false);
+    Iommu::DmaMemo memo;
+    auto r = iommu.resolveDma(kP, 0x9000000 + 8, 100, true, &memo);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->data(), a.data() + 8);
+    r = iommu.resolveDma(kP, 0x9000000 + 16, 100, true, &memo);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->data(), a.data() + 16);
+    r = iommu.resolveDma(kP, 0x9001000, 100, false, &memo);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->data(), b.data());
+    EXPECT_FALSE(iommu.resolveDma(kP, 0x9001000, 100, true, &memo)
+                     .has_value());
+    EXPECT_FALSE(iommu.resolveDma(kP + 1, 0x9001000, 100, false, &memo)
+                     .has_value());
+
+    // Replacing b drops the memo: the new buffer answers.
+    std::vector<std::uint8_t> c(4096);
+    iommu.mapDma(kP, 0x9001000, std::span(c), true);
+    r = iommu.resolveDma(kP, 0x9001000, 100, true, &memo);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->data(), c.data());
+    iommu.unmapDma(kP, 0x9001000);
+    r = iommu.resolveDma(kP, 0x9001000, 100, true, &memo);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->data(), a.data() + 4096);
+}
+
 TEST(TranslationCache, LruEviction)
 {
     TranslationCache tc(4, 4); // one set, 4 ways

@@ -475,6 +475,40 @@ TEST(Writeback, FsyncWaitsForTheFilesPageWritesInFlight)
     EXPECT_EQ(page1, std::vector<std::uint8_t>(kBlockBytes, 0xaa));
 }
 
+TEST(Writeback, FsyncReportsAFailedEvictionWriteOnce)
+{
+    // Through a 2-page cache, page 0's eviction write is media op 3 and
+    // fails. It lands before fsync runs, so fsync has no write of it to
+    // join: the error must wait on the inode, as Linux keeps writeback
+    // errors on the mapping, and be reported once.
+    sim::setVerbose(false);
+    sys::SystemConfig cfg = smallConfig();
+    cfg.kernel.pageCacheBytes = 2 * kBlockBytes;
+    cfg.ssd.mediaErrorEvery = 3;
+    sys::System s(cfg);
+    kern::Process &p = s.newProcess();
+    // setupCreateFile leaves an O_DIRECT fd open: it reads the media.
+    const int media = s.kernel.setupCreateFile(p, "/a", 4 * kBlockBytes, 1);
+    std::vector<std::uint8_t> page(kBlockBytes);
+    ASSERT_EQ(kPread(s, p, media, page, 0).n, 4096);           // op 1
+    ASSERT_EQ(kPread(s, p, media, page, kBlockBytes).n, 4096); // op 2
+
+    const int fd = kOpen(s, p, "/a", kOpenRead | kOpenWrite);
+    const std::vector<std::uint8_t> aa(3 * kBlockBytes, 0xaa);
+    ASSERT_EQ(kPwrite(s, p, fd, aa, 0).n, 3 * 4096);
+    ASSERT_EQ(s.dev.mediaErrors(), 1u);
+
+    const auto fsync = [&]() {
+        int rc = -12345;
+        s.kernel.sysFsync(p, fd, [&](int r) { rc = r; });
+        s.run();
+        return rc;
+    };
+    EXPECT_EQ(fsync(), kern::devErr(ssd::Status::MediaError));
+    EXPECT_EQ(s.dev.mediaErrors(), 1u); // pages 1-2 were written
+    EXPECT_EQ(fsync(), 0);
+}
+
 TEST(CpuModel, DilationAndPenalty)
 {
     kern::CpuModel cpu(24);

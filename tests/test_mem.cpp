@@ -2,12 +2,22 @@
  * @file
  * Tests for the memory substrate: frame allocator, PTE/FTE encodings,
  * 4-level page tables (including PMD-level shared subtree attachment and
- * per-open permission semantics), VA allocator.
+ * per-open permission semantics), VA allocator, pinned DMA buffers.
  */
+
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mem/address_space.hpp"
+#include "mem/dma_buffer.hpp"
 #include "mem/frame_allocator.hpp"
 #include "mem/page_table.hpp"
 #include "mem/pte.hpp"
@@ -374,4 +384,103 @@ TEST(AddressSpace, PmdAlignedRegions)
     EXPECT_NE(v, 0u);
     EXPECT_EQ(v % kPmdSpan, 0u);
     as.release(v, 10 << 20);
+}
+
+namespace {
+
+const std::uintptr_t kHostPage
+    = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+
+void *
+pageOf(const void *p)
+{
+    return reinterpret_cast<void *>(reinterpret_cast<std::uintptr_t>(p)
+                                    & ~(kHostPage - 1));
+}
+
+/** Host pages of @p buf's mapping that hold memory (mincore). */
+std::size_t
+residentPages(const DmaBuffer &buf)
+{
+    void *base = pageOf(buf.data());
+    const std::size_t len = buf.data() + buf.size()
+                            - static_cast<std::uint8_t *>(base);
+    std::vector<unsigned char> vec((len + kHostPage - 1) / kHostPage);
+    EXPECT_EQ(::mincore(base, len, vec.data()), 0);
+    return static_cast<std::size_t>(std::count_if(
+        vec.begin(), vec.end(), [](unsigned char v) { return v & 1; }));
+}
+
+/** Whether the host page holding @p p is mapped. */
+bool
+mapped(const void *p)
+{
+    unsigned char v = 0;
+    return ::mincore(pageOf(p), 1, &v) == 0;
+}
+
+} // namespace
+
+TEST(DmaBuffer, FreshMemoryReadsZero)
+{
+    const DmaBuffer buf(2 << 20);
+    ASSERT_EQ(buf.size(), 2u << 20);
+    EXPECT_TRUE(std::all_of(buf.data(), buf.data() + buf.size(),
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_EQ(buf.span().data(), buf.data());
+    EXPECT_EQ(buf.span().size(), buf.size());
+}
+
+TEST(DmaBuffer, CommitsOnlyTheTouchedPages)
+{
+    // A 2 MiB UserLib buffer whose I/O touches its first 4 KiB: the
+    // rest must stay uncommitted (and not one transparent huge page).
+    DmaBuffer buf(2 << 20);
+    EXPECT_EQ(residentPages(buf), 0u);
+    std::memset(buf.data(), 0xab, 4096);
+    const std::size_t resident = residentPages(buf);
+    EXPECT_GE(resident, 1u);
+    EXPECT_LE(resident, 2u);
+}
+
+TEST(DmaBuffer, MoveTransfersOwnership)
+{
+    DmaBuffer a(8192);
+    std::uint8_t *p = a.data();
+    p[100] = 7;
+    DmaBuffer b(std::move(a));
+    EXPECT_EQ(a.data(), nullptr);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(b.data(), p);
+    EXPECT_EQ(b.size(), 8192u);
+    EXPECT_EQ(b.data()[100], 7);
+    {
+        DmaBuffer c;
+        c = std::move(b);
+        EXPECT_EQ(b.data(), nullptr);
+        EXPECT_EQ(c.data(), p);
+    }
+    EXPECT_FALSE(mapped(p)); // the last owner unmapped it
+}
+
+TEST(DmaBuffer, DestructionUnmapsExactlyOnce)
+{
+    DmaBuffer owner;
+    std::uint8_t *p = nullptr;
+    {
+        DmaBuffer a(4096);
+        p = a.data();
+        owner = std::move(a);
+    } // the moved-from a leaves the mapping alone
+    ASSERT_TRUE(mapped(p));
+    owner.data()[4095] = 1;
+
+    // Assigning over an owner unmaps what it held, and only that.
+    DmaBuffer other(4096);
+    std::uint8_t *q = other.data();
+    owner = std::move(other);
+    EXPECT_FALSE(mapped(p));
+    ASSERT_TRUE(mapped(q));
+    EXPECT_EQ(owner.data(), q);
+    owner.data()[0] = 2;
 }

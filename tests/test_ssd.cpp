@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "iommu/iommu.hpp"
+#include "mem/dma_buffer.hpp"
 #include "mem/page_table.hpp"
 #include "sim/event_queue.hpp"
 #include "ssd/block_store.hpp"
@@ -289,6 +290,42 @@ TEST_F(DevFixture, DmaFaultOnUnmappedIova)
     cmd.dmaIova = 0xdead0000;
     cmd.useIova = true;
     EXPECT_EQ(runOne(qp, cmd).status, Status::DmaFault);
+}
+
+TEST_F(DevFixture, UnmapDropsTheQueuesDmaMapping)
+{
+    // The queue keeps the DMA mapping its last IOVA command resolved.
+    // Once the buffer is unmapped (and freed), the next command must
+    // fault, not write into the freed memory.
+    mem::PageTable pt(fa);
+    const Pasid pasid = 9;
+    iommu.bindPasid(pasid, &pt);
+    const std::vector<std::uint8_t> seed(4096, 0x77);
+    store.write(500 * 4096, seed);
+    pt.set(0x40000000, mem::makeFte(500, 1, true));
+    QueuePair *qp = dev->createQueuePair(pasid, 32, true);
+    Command cmd;
+    cmd.op = Op::Read;
+    cmd.addr = 0x40000000;
+    cmd.addrIsVba = true;
+    cmd.len = 4096;
+    cmd.dmaIova = 0x9000000;
+    cmd.useIova = true;
+    {
+        mem::DmaBuffer dma(4096);
+        iommu.mapDma(pasid, 0x9000000, dma.span(), true);
+        EXPECT_EQ(runOne(qp, cmd).status, Status::Success);
+        EXPECT_EQ(runOne(qp, cmd).status, Status::Success); // the memo
+        EXPECT_TRUE(std::equal(seed.begin(), seed.end(), dma.data()));
+        iommu.unmapDma(pasid, 0x9000000);
+    }
+    EXPECT_EQ(runOne(qp, cmd).status, Status::DmaFault);
+
+    // A buffer mapped again at the IOVA takes the next read.
+    std::vector<std::uint8_t> fresh(4096, 0);
+    iommu.mapDma(pasid, 0x9000000, std::span(fresh), true);
+    EXPECT_EQ(runOne(qp, cmd).status, Status::Success);
+    EXPECT_EQ(fresh, seed);
 }
 
 TEST_F(DevFixture, RoundRobinFairness)
